@@ -17,8 +17,8 @@ Quick start::
                                         partition_bytes=384 * MIB))
     print(rig.run_single_reclaim(768 * MIB).latency_ms, "ms")
 
-See ``examples/`` for runnable end-to-end scenarios and ``benchmarks/``
-for the per-figure reproduction harnesses.
+See ``examples/`` for runnable end-to-end scenarios; every table and
+figure regenerates with ``python -m repro.experiments <name>``.
 """
 
 from repro.cluster import (

@@ -9,7 +9,8 @@ One module per evaluation artifact (see DESIGN.md's experiment index):
 * :mod:`~repro.experiments.fig8_reclaim_throughput` — trace-driven MiB/s;
 * :mod:`~repro.experiments.fig9_p99_latency` — P99 across configurations;
 * :mod:`~repro.experiments.fig10_interference` — co-location spikes;
-* :mod:`~repro.experiments.ablations` — A1-A4 design-choice ablations.
+* :mod:`~repro.experiments.ablations` — A1-A4 design-choice ablations
+  and A6 batched unplug.
 
 Shared harnesses: :mod:`~repro.experiments.microbench` (memhog fleets,
 Figures 5-7) and :mod:`~repro.experiments.serverless` (trace replay,

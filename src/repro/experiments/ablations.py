@@ -1,8 +1,9 @@
-"""Ablations beyond the paper's figures (DESIGN.md A1-A4).
+"""Ablations beyond the paper's figures (DESIGN.md A1-A4 and A6).
 
 These isolate the design choices the paper's analysis attributes the
 vanilla pathologies to: allocator placement (interleaving), zeroing
-mode, unplug block selection, and the HotMem concurrency factor.
+mode, unplug block selection, and the HotMem concurrency factor.  A6
+measures the paper's batched-unplug future work.
 """
 
 from __future__ import annotations
@@ -312,6 +313,6 @@ def _render_all(
 
 register_experiment(
     "ablations",
-    "A1-A4 design-choice ablations",
+    "A1-A4 design-choice ablations and A6 batched unplug",
     render=_render_all,
 )

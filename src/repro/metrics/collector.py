@@ -83,16 +83,6 @@ class TimeSeries:
             return 0.0
         return self.samples[-1][1] - self.samples[0][1]
 
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile of the sampled values (0 <= q <= 100)."""
-        if not self.samples:
-            raise ValueError(f"{self.name}: empty series")
-        # Imported here: repro.metrics.latency sits alongside but pulls
-        # in nothing extra; keeps this module dependency-free at import.
-        from repro.metrics.latency import percentile
-
-        return percentile(self.values(), q)
-
 
 class PeriodicSampler:
     """Samples a callable into a :class:`TimeSeries` on a fixed period.

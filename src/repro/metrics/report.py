@@ -1,6 +1,6 @@
 """Plain-text rendering of experiment results.
 
-Every benchmark prints the rows/series the corresponding paper table or
+Every experiment prints the rows/series the corresponding paper table or
 figure reports; these helpers keep the formatting consistent.
 """
 

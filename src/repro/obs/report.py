@@ -9,7 +9,7 @@ sums match the recorded unplug latency to the nanosecond; the report
 verifies that identity for every event and renders a per-mode P50/P99
 breakdown plus the phase split of the exact P99 event.
 
-Percentiles use nearest-rank (``TimeSeries.percentile``): a reported
+Percentiles use nearest-rank (``metrics.latency.percentile``): a reported
 P99 is an actual event from the run, which is what makes the "P99
 phases" row well-defined.
 """
@@ -193,20 +193,12 @@ def _phase_columns(modes: List[ModeBreakdown]) -> List[str]:
     return ordered
 
 
-def _percentile_ns(latencies: List[int], q: float) -> int:
-    """Nearest-rank percentile via ``TimeSeries.percentile``."""
-    # Imported here: repro.metrics pulls in the faas layer, which must
-    # stay importable before repro.obs finishes loading.
-    from repro.metrics.collector import TimeSeries
-
-    series = TimeSeries("unplug_latency_ns")
-    for index, value in enumerate(latencies):
-        series.record(index, value)
-    return int(series.percentile(q))
-
-
 def build_report(records: List[Dict[str, object]]) -> TraceReport:
     """Attribute every exported ``device.unplug`` span to its phases."""
+    # Imported here: repro.metrics pulls in the faas layer, which must
+    # stay importable before repro.obs finishes loading.
+    from repro.metrics.latency import percentile
+
     spans: Dict[Tuple[int, int], Dict[str, object]] = {}
     metric_modes = set()
     for record in records:
@@ -256,8 +248,8 @@ def build_report(records: List[Dict[str, object]]) -> TraceReport:
             key=lambda u: (u.end_ns, u.context, u.span_id),
         )
         latencies = [u.duration_ns for u in events]
-        p50 = _percentile_ns(latencies, 50.0)
-        p99 = _percentile_ns(latencies, 99.0)
+        p50 = percentile(latencies, 50.0)
+        p99 = percentile(latencies, 99.0)
         p99_event = next(
             (u for u in events if u.duration_ns == p99), None
         )

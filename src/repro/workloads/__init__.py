@@ -6,12 +6,6 @@ from repro.workloads.azure import (
     bursty_trace,
     diurnal_phases,
 )
-from repro.workloads.azure_csv import (
-    AzureCsvRow,
-    load_azure_trace,
-    load_invocation_rows,
-    trace_from_minute_counts,
-)
 from repro.workloads.functions import TABLE1_FUNCTIONS, FunctionSpec, get_function
 from repro.workloads.memhog import Memhog
 from repro.workloads.traces import InvocationTrace
@@ -21,10 +15,6 @@ __all__ = [
     "RatePhase",
     "bursty_trace",
     "diurnal_phases",
-    "AzureCsvRow",
-    "load_azure_trace",
-    "load_invocation_rows",
-    "trace_from_minute_counts",
     "TABLE1_FUNCTIONS",
     "FunctionSpec",
     "get_function",

@@ -1,4 +1,4 @@
-"""Integration tests for the A1-A4 ablations."""
+"""Integration tests for the A1-A4 and A6 ablations."""
 
 import pytest
 
@@ -90,3 +90,18 @@ class TestConcurrencyAblation:
     def test_no_failures_at_any_n(self, result):
         for row in result.rows():
             assert row[3] == 0  # oom_failures column
+
+
+class TestBatchingAblation:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return ablations.run_batching_ablation()
+
+    def test_batching_beats_per_block_unplug(self, result):
+        assert result.values["1/batched"] < result.values["1/per_block"]
+
+    def test_gain_grows_with_request_size(self, result):
+        """Per-block costs scale with the request; a batch pays them once."""
+        gain_small = result.values["1/per_block"] / result.values["1/batched"]
+        gain_large = result.values["8/per_block"] / result.values["8/batched"]
+        assert gain_large > gain_small

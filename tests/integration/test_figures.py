@@ -155,6 +155,7 @@ class TestFig10:
             assert result.shrink_times_s[mode]
 
     def test_vanilla_spikes_hotmem_does_not(self, result):
+        assert result.spike["vanilla"] > 1.5
         assert result.window_mean["vanilla"] > 1.3
         assert result.window_mean["hotmem"] < 1.2
         assert result.interference_gap() > 1.2

@@ -31,6 +31,7 @@ def test_spares_barely_matter_with_fast_plugs(result):
 
 def test_spares_matter_with_slow_plugs(result):
     assert result.slow_plug_benefit() > 3 * abs(result.fast_plug_benefit())
+    assert result.slow_plug_benefit() > 5 * max(result.fast_plug_benefit(), 1.0)
 
 
 def test_every_variant_served_the_same_load_shape(result):

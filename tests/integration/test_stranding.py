@@ -18,11 +18,14 @@ def result():
 def test_overprovisioned_memory_is_constant(result):
     values = [v for _, v in result.series["overprovisioned"]]
     assert max(values) == min(values)
+    # Static provisioning never lets go of anything.
+    assert result.tail_gib["overprovisioned"] == result.peak_gib["overprovisioned"]
 
 
 def test_elastic_modes_release_memory(result):
     for mode in ("vanilla", "hotmem"):
-        assert result.savings_vs_overprovisioned(mode) > 0.3
+        # Average commitment under half of static provisioning's.
+        assert result.savings_vs_overprovisioned(mode) > 0.5
         # After the bursts die down, commitment falls well below the peak.
         assert result.tail_gib[mode] < 0.7 * result.peak_gib[mode]
 

@@ -16,13 +16,14 @@ def test_elastic_modes_track_demand(result):
     for mode in ("hotmem", "vanilla"):
         assert result.tracking_ratio[mode] == pytest.approx(1.0, abs=0.35)
         assert result.avg_overhead_gib[mode] < 1.0
+    assert result.tracking_ratio["hotmem"] < 1.3
 
 
 def test_overprovisioned_holds_maximum(result):
     series = result.plugged["overprovisioned"]
     values = {v for _, v in series}
     assert len(values) == 1  # never resized
-    assert result.tracking_ratio["overprovisioned"] > 2.0
+    assert result.tracking_ratio["overprovisioned"] > 3.0
 
 
 def test_plugged_memory_actually_cycles(result):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metrics.collector import FleetCollector, PeriodicSampler, TimeSeries
+from repro.metrics.latency import percentile
 from repro.obs.rollup import RollupSeries
 from repro.units import SEC
 
@@ -41,31 +42,34 @@ class TestTimeSeries:
         series.record(2 * SEC, 1.0)
         assert series.times_s() == [2.0]
 
+    # A series has no percentile method of its own: its values go
+    # straight to the one nearest-rank implementation.
+
     def test_percentile_nearest_rank(self):
         series = TimeSeries("t")
         for t, v in enumerate([10.0, 40.0, 20.0, 30.0]):
             series.record(t, v)
-        assert series.percentile(50) == 20.0
-        assert series.percentile(99) == 40.0
-        assert series.percentile(0) == 10.0
-        assert series.percentile(100) == 40.0
+        assert percentile(series.values(), 50) == 20.0
+        assert percentile(series.values(), 99) == 40.0
+        assert percentile(series.values(), 0) == 10.0
+        assert percentile(series.values(), 100) == 40.0
 
     def test_percentile_is_an_actual_sample(self):
         series = TimeSeries("t")
         for t, v in enumerate([1.0, 1000.0]):
             series.record(t, v)
         # Nearest-rank, not interpolated: the result is a real sample.
-        assert series.percentile(50) in series.values()
+        assert percentile(series.values(), 50) in series.values()
 
     def test_percentile_empty_and_out_of_range_raise(self):
         with pytest.raises(ValueError):
-            TimeSeries("t").percentile(50)
+            percentile(TimeSeries("t").values(), 50)
         series = TimeSeries("t")
         series.record(0, 1.0)
         with pytest.raises(ValueError):
-            series.percentile(101)
+            percentile(series.values(), 101)
         with pytest.raises(ValueError):
-            series.percentile(-1)
+            percentile(series.values(), -1)
 
 
 class TestPeriodicSampler:

@@ -34,6 +34,8 @@ class TestPercentile:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             percentile([1], 101)
+        with pytest.raises(ValueError):
+            percentile([1], -1)
 
     def test_single_value(self):
         assert percentile([7], 99) == 7

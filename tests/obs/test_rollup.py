@@ -1,5 +1,8 @@
 """Bounded-memory rollup series: exactness, compaction, determinism."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.metrics.collector import TimeSeries
@@ -48,6 +51,23 @@ class TestCompaction:
             rollup.record(time_ns, value)
         assert rollup.bucket_count() <= 16
         assert len(rollup) == 100_000
+
+    def test_resident_bytes_stay_bounded(self):
+        """A 256-bucket series stays under 256 KiB however many samples
+        fold in; an exact log of these samples would take megabytes."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            rollup = RollupSeries("r", max_buckets=256)
+            for index in range(100_000):
+                rollup.record(index * 1_000, float(index & 1023))
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rollup) == 100_000
+        assert after - before <= 256 * 1024
 
     def test_width_doubles_per_compaction(self):
         rollup = RollupSeries("r", max_buckets=4, width_ns=1)

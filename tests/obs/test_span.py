@@ -1,6 +1,10 @@
 """Unit tests for causal spans: identity, parenting, close semantics,
 consumers, and the inert NULL_SPAN."""
 
+import gc
+import tracemalloc
+
+from repro.obs import NO_OBS
 from repro.obs.span import NULL_SPAN, Span, Tracer
 from repro.sim import Simulator, Timeout
 
@@ -164,3 +168,25 @@ class TestNullSpan:
         _, tracer = make_tracer()
         assert tracer.span("x")
         assert isinstance(tracer.span("y"), Span)
+
+
+class TestUntracedPath:
+    def test_untraced_bundle_retains_nothing(self):
+        """With tracing off, the scope/span singletons hold onto no label
+        dicts or span objects: net retained memory is ~0 bytes per op."""
+        ops = 20_000
+        scope = NO_OBS.scope(vm="vm-0", mode="hotmem", host="host-0")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for index in range(ops):
+                span = scope.span("driver.unplug_block", block=index)
+                scope.inc("mm.blocks_unplugged")
+                scope.observe("mm.unplug_latency_ns", 1_000)
+                span.close()
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(0, after - before) / ops <= 1.0
