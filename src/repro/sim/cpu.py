@@ -11,6 +11,10 @@ Per-label accounting mirrors the paper's use of the ``cpuacct`` cgroup
 controller (Section 5.4): the evaluation isolates the vCPU that serves
 virtio-mem interrupts and reports exactly the CPU time that the unplug
 path consumed on it (Figure 7).
+
+A lone task's quanta are re-armed inside the event loop (see
+:class:`CpuCore`): each boundary keeps its queue entry, so tie order is
+that of one event per quantum, but no Python code runs at it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Simulator, _ScheduledCall
 from repro.units import MS
 
 __all__ = ["CpuCore", "CpuWork"]
@@ -36,7 +40,8 @@ class CpuWork:
     label:
         Accounting label (e.g. ``"virtio-mem"`` or ``"fn:cnn"``).
     remaining:
-        CPU-nanoseconds still to execute.
+        CPU-nanoseconds not yet charged (the on-core task's re-armed
+        quanta are charged lazily, see :class:`CpuCore`).
     done:
         Event triggered (with this object) when the work completes.
     """
@@ -58,6 +63,14 @@ class CpuCore:
     waits at most one quantum before it first runs.  This is a faithful
     enough model of CFS for the per-second latency granularity the paper
     reports, while staying exactly deterministic.
+
+    A task dispatched alone with more than two quanta left arms one
+    slice-end whose boundaries, bar the last two, are re-armed in the
+    event loop.  A ``submit`` to the busy core zeroes the re-arms, so the
+    next boundary hands over in round-robin order.  Accounting reads first
+    settle the boundaries already passed; one tied with the reader but not
+    yet popped still sits at ``now`` and, like an unrun slice-end, is not
+    counted.
     """
 
     def __init__(
@@ -73,9 +86,10 @@ class CpuCore:
         self.quantum_ns = quantum_ns
         self._run_queue: Deque[CpuWork] = deque()
         self._current: Optional[CpuWork] = None
+        #: The pending slice-end of ``_current``.
+        self._slice: Optional[_ScheduledCall] = None
         self._busy_ns = 0
         self._busy_by_label: Dict[str, int] = {}
-        self._idle_since = sim.now
         self._slice_started_at = 0
 
     # ------------------------------------------------------------------
@@ -96,6 +110,8 @@ class CpuCore:
         self._run_queue.append(work)
         if self._current is None:
             self._dispatch()
+        else:
+            self._slice.repeats = 0  # hand over at the next boundary
         return work.done
 
     def run(self, work_ns: int, label: str = ""):
@@ -107,23 +123,43 @@ class CpuCore:
     # Scheduling internals
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        if self._current is not None:
-            return
-        if not self._run_queue:
-            self._idle_since = self.sim.now
-            return
-        work = self._run_queue.popleft()
+        if self._current is None and self._run_queue:
+            self._arm(self._run_queue.popleft())
+
+    def _arm(self, work: CpuWork) -> None:
+        quantum = self.quantum_ns
+        now = self.sim.now
+        slice_ns = min(quantum, work.remaining)
         self._current = work
-        self._slice_started_at = self.sim.now
-        slice_ns = min(self.quantum_ns, work.remaining)
-        self.sim.schedule(slice_ns, self._on_slice_end, work, slice_ns)
+        self._slice_started_at = now
+        self._slice = call = self.sim.schedule_at(
+            now + slice_ns, self._on_slice_end, work, slice_ns
+        )
+        if work.remaining > 2 * quantum and not self._run_queue:
+            call.period = quantum
+            call.repeats = -(-work.remaining // quantum) - 2
+
+    def _charge(self, work: CpuWork, ns: int) -> None:
+        self._busy_ns += ns
+        self._busy_by_label[work.label] = self._busy_by_label.get(work.label, 0) + ns
+        work.remaining -= ns
+        self._slice_started_at += ns
+
+    def _settle(self) -> None:
+        """Charge the quanta before the pending slice-end's boundary (none
+        for a plain slice, which is at most one quantum long)."""
+        if self._current is not None:
+            passed = self._slice.time - self.quantum_ns - self._slice_started_at
+            if passed > 0:
+                self._charge(self._current, passed)
 
     def _on_slice_end(self, work: CpuWork, slice_ns: int) -> None:
-        self._busy_ns += slice_ns
-        self._busy_by_label[work.label] = (
-            self._busy_by_label.get(work.label, 0) + slice_ns
-        )
-        work.remaining -= slice_ns
+        # ``slice_ns`` is the length the slice was armed with; the charge
+        # also covers its re-armed quanta.
+        self._charge(work, self.sim.now - self._slice_started_at)
+        if work.remaining > 0 and not self._run_queue:
+            self._arm(work)
+            return
         self._current = None
         if work.remaining > 0:
             self._run_queue.append(work)
@@ -148,20 +184,24 @@ class CpuCore:
     @property
     def busy_ns(self) -> int:
         """Total CPU-nanoseconds executed on this core (completed slices)."""
+        self._settle()
         return self._busy_ns
 
     def busy_ns_for(self, label: str) -> int:
         """CPU-nanoseconds charged to an exact accounting label."""
+        self._settle()
         return self._busy_by_label.get(label, 0)
 
     def busy_ns_for_prefix(self, prefix: str) -> int:
         """CPU-nanoseconds charged to all labels starting with ``prefix``."""
+        self._settle()
         return sum(
             ns for label, ns in self._busy_by_label.items() if label.startswith(prefix)
         )
 
     def accounting(self) -> Dict[str, int]:
         """A copy of the per-label CPU-time table (label → ns)."""
+        self._settle()
         return dict(self._busy_by_label)
 
     def utilization(self, since_ns: int = 0) -> float:
@@ -169,7 +209,7 @@ class CpuCore:
         elapsed = self.sim.now - since_ns
         if elapsed <= 0:
             return 0.0
-        return min(1.0, self._busy_ns / elapsed)
+        return min(1.0, self.busy_ns / elapsed)
 
     def __repr__(self) -> str:
         state = "busy" if self.busy else "idle"

@@ -195,27 +195,30 @@ class Process:
 
 
 class _ScheduledCall:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a scheduled callback; supports cancellation.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    A call with ``repeats`` left is *re-armed* instead of run when the
+    loop reaches it: the clock moves to its time, the call goes back on
+    the queue ``period`` ns later with the next sequence number (the one
+    a callback re-scheduling itself right then would take), the probes
+    run, and nothing is called.  ``time`` is always the time of the
+    call's pending queue entry.  Zeroing ``repeats`` makes the callback
+    run at that entry.
+    """
 
-    def __init__(self, time: int, seq: int, callback: Callable[..., None], args: tuple):
+    __slots__ = ("time", "callback", "args", "cancelled", "period", "repeats")
+
+    def __init__(self, time: int, callback: Callable[..., None], args: tuple):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
+        self.period = 0
+        self.repeats = 0
 
     def cancel(self) -> None:
         """Prevent the callback from running (safe after it already ran)."""
         self.cancelled = True
-
-    def __lt__(self, other: "_ScheduledCall") -> bool:
-        # Compared O(log n) times per heap operation — attribute
-        # comparisons, not tuple construction, keep the loop churn-free.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
 
 class Simulator:
@@ -223,17 +226,19 @@ class Simulator:
 
     Events scheduled for the same timestamp run in scheduling order, which
     makes every simulation in this repository fully deterministic given a
-    fixed RNG seed.
+    fixed RNG seed.  Queue entries are ``(time, seq, call)`` tuples, so
+    the heap compares them in C; ``seq`` is unique, so ``call`` is never
+    compared.
     """
 
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue: list[_ScheduledCall] = []
+        self._queue: list[tuple[int, int, _ScheduledCall]] = []
         self._running = False
-        #: Observers invoked after every executed callback (e.g. the
-        #: memory-state sanitizer's every-N-events checkpoint).  Probes
-        #: must not schedule or mutate simulation state.
+        #: Observers invoked after every executed callback and re-armed
+        #: boundary (e.g. the memory-state sanitizer's every-N-events
+        #: checkpoint).  Probes must not schedule or mutate simulation state.
         self._probes: list[Callable[[], None]] = []
 
     def add_probe(self, probe: Callable[[], None]) -> None:
@@ -266,9 +271,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        call = _ScheduledCall(int(time), self._seq, callback, args)
+        call = _ScheduledCall(int(time), callback, args)
+        heapq.heappush(self._queue, (call.time, self._seq, call))
         self._seq += 1
-        heapq.heappush(self._queue, call)
         return call
 
     def event(self) -> Event:
@@ -282,18 +287,23 @@ class Simulator:
         return process
 
     def step(self) -> bool:
-        """Run the next pending callback; return ``False`` if none is left."""
+        """Run the next pending callback or re-arm boundary (see
+        :class:`_ScheduledCall`); return ``False`` if none is left."""
         queue = self._queue
-        heappop = heapq.heappop
         while queue:
-            call = heappop(queue)
+            time, _, call = heapq.heappop(queue)
             if call.cancelled:
                 continue
-            self._now = call.time
-            call.callback(*call.args)
-            if self._probes:
-                for probe in self._probes:
-                    probe()
+            self._now = time
+            if call.repeats:
+                call.repeats -= 1
+                call.time = time + call.period
+                heapq.heappush(queue, (call.time, self._seq, call))
+                self._seq += 1
+            else:
+                call.callback(*call.args)
+            for probe in self._probes:
+                probe()
             return True
         return False
 
@@ -314,18 +324,26 @@ class Simulator:
         # run — are still picked up).
         queue = self._queue
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         probes = self._probes
         try:
             while queue:
-                head = queue[0]
-                if head.cancelled:
+                time, _, call = queue[0]
+                if call.cancelled:
                     heappop(queue)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     break
-                heappop(queue)
-                self._now = head.time
-                head.callback(*head.args)
+                self._now = time
+                if call.repeats:
+                    # A silent boundary: re-arm one period on, call nothing.
+                    call.repeats -= 1
+                    call.time = time = time + call.period
+                    heapreplace(queue, (time, self._seq, call))
+                    self._seq += 1
+                else:
+                    heappop(queue)
+                    call.callback(*call.args)
                 if probes:
                     for probe in probes:
                         probe()
@@ -347,4 +365,4 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of live (non-cancelled) calls still queued."""
-        return sum(1 for call in self._queue if not call.cancelled)
+        return sum(1 for _, _, call in self._queue if not call.cancelled)

@@ -343,3 +343,83 @@ class TestKill:
         sim.schedule(5, doomed.kill)
         sim.run()
         assert log == ["survivor"]
+
+
+class TestRearm:
+    """A call with ``repeats`` left is pushed back ``period`` ns later at
+    each boundary, with the next sequence number, and runs nothing."""
+
+    @staticmethod
+    def repeating(sim, seen, time=10, period=10, repeats=3):
+        call = sim.schedule_at(time, lambda: seen.append(sim.now))
+        call.period, call.repeats = period, repeats
+        return call
+
+    def test_callback_runs_once_after_the_repeats(self, sim):
+        seen = []
+        self.repeating(sim, seen)
+        sim.run()
+        assert seen == [40]
+        assert sim.now == 40
+
+    def test_step_executes_one_silent_boundary_per_call(self, sim):
+        seen = []
+        call = self.repeating(sim, seen)
+        for expected_now, expected_time in ((10, 20), (20, 30), (30, 40)):
+            assert sim.step() is True
+            assert (sim.now, call.time, seen) == (expected_now, expected_time, [])
+        assert sim.step() is True
+        assert seen == [40]
+        assert sim.step() is False
+
+    def test_run_until_stops_on_a_silent_boundary_and_resumes(self, sim):
+        seen = []
+        call = self.repeating(sim, seen)
+        sim.run(until=20)
+        assert (sim.now, call.time, call.repeats, seen) == (20, 30, 1, [])
+        sim.run()
+        assert seen == [40]
+
+    def test_cancel_a_repeating_call(self, sim):
+        seen = []
+        call = self.repeating(sim, seen)
+        sim.step()
+        call.cancel()
+        assert sim.pending_events() == 0
+        sim.run()
+        assert seen == []
+        assert sim.now == 10
+
+    def test_pending_events_counts_a_repeating_call_once(self, sim):
+        seen = []
+        self.repeating(sim, seen)
+        sim.schedule(15, lambda: None)
+        assert sim.pending_events() == 2
+        sim.step()
+        assert sim.pending_events() == 2
+        sim.run(until=35)
+        assert sim.pending_events() == 1
+
+    def test_probes_fire_on_silent_boundaries(self, sim):
+        seen, probed = [], []
+        self.repeating(sim, seen)
+        sim.add_probe(lambda: probed.append(sim.now))
+        sim.run()
+        assert probed == [10, 20, 30, 40]
+
+    def test_zeroing_repeats_runs_the_callback_at_the_next_boundary(self, sim):
+        seen = []
+        call = self.repeating(sim, seen)
+        sim.schedule_at(25, setattr, call, "repeats", 0)
+        sim.run()
+        assert seen == [30]
+
+    def test_rearm_takes_the_next_sequence_number(self, sim):
+        # At t=20 the boundary re-arm (queued at t=10) ties with a call
+        # queued before it and one queued after it.
+        seen = []
+        self.repeating(sim, seen, repeats=1)
+        sim.schedule_at(20, seen.append, "before")
+        sim.schedule_at(15, sim.schedule_at, 20, seen.append, "after")
+        sim.run()
+        assert seen == ["before", 20, "after"]
