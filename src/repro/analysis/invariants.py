@@ -239,6 +239,25 @@ def _check_zone_free_counter(ctx: CheckContext) -> Iterator[Failure]:
 
 
 @invariant(
+    "zone-usable-index",
+    "each zone's usable-block index lists exactly its non-isolated blocks "
+    "with free pages, ascending by block index",
+)
+def _check_zone_usable_index(ctx: CheckContext) -> Iterator[Failure]:
+    for zone in ctx.manager.zones.values():
+        expected = [b for b in zone.blocks if b.free_pages and not b.isolated]
+        if zone.usable_blocks != expected:
+            stale = set(zone.usable_blocks).symmetric_difference(expected)
+            yield Failure(
+                "zone-usable-index",
+                f"zone {zone.name}: usable index holds blocks "
+                f"{[b.index for b in zone.usable_blocks]}, recomputed "
+                f"{[b.index for b in expected]}",
+                tuple(sorted(stale, key=lambda b: b.index)),
+            )
+
+
+@invariant(
     "block-state-legality",
     "zone membership, block state and back-references follow the "
     "hot(un)plug state machine",

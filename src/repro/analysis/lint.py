@@ -34,7 +34,8 @@ Syntactic rules registered here:
     Writes to mm accounting structures (``owner_pages``, ``block_pages``,
     ``_free_pages``, ``free_pages``, ``isolated``, and mutations of a
     ``.blocks`` list) are only legal inside the owning modules
-    (``repro.mm.zone``/``block``/``owner``/``manager``).  Everyone else
+    (``repro.mm.zone``/``block``/``owner``/``manager``); a zone's
+    ``usable_blocks`` index only inside ``repro.mm.zone``.  Everyone else
     must go through the manager API — exactly the boundary the runtime
     sanitizer audits.
 
@@ -150,6 +151,8 @@ _MM_OWNING_MODULES = {
     "repro.mm.owner",
     "repro.mm.manager",
 }
+#: Guarded attributes that a single owning module mutates alone.
+_MM_SOLE_OWNER = {"usable_blocks": "repro.mm.zone"}
 #: Attributes guarded by mm-encapsulation (write/mutation targets).
 _GUARDED_WRITE_ATTRS = {
     "owner_pages",
@@ -157,9 +160,10 @@ _GUARDED_WRITE_ATTRS = {
     "_free_pages",
     "free_pages",
     "isolated",
+    "usable_blocks",
 }
 #: Container attributes whose in-place mutator calls are guarded.
-_GUARDED_CONTAINER_ATTRS = {"owner_pages", "block_pages", "blocks"}
+_GUARDED_CONTAINER_ATTRS = {"owner_pages", "block_pages", "blocks", "usable_blocks"}
 _MUTATOR_METHODS = {
     "append",
     "clear",
@@ -371,17 +375,22 @@ def _rule_no_float_page_eq(ctx: FileContext) -> Iterator[LintError]:
     ),
 )
 def _rule_mm_encapsulation(ctx: FileContext) -> Iterator[LintError]:
-    if (
-        not _in_scope(ctx.module, ("repro",))
-        or ctx.module in _MM_OWNING_MODULES
-    ):
+    if not _in_scope(ctx.module, ("repro",)):
         return
+
+    def foreign(attr: str) -> bool:
+        sole = _MM_SOLE_OWNER.get(attr)
+        return ctx.module != sole if sole else ctx.module not in _MM_OWNING_MODULES
 
     def guarded_attr(node: ast.AST) -> Optional[str]:
         # x.owner_pages = ..., x.owner_pages[k] = ..., del x.owner_pages[k]
         if isinstance(node, ast.Subscript):
             node = node.value
-        if isinstance(node, ast.Attribute) and node.attr in _GUARDED_WRITE_ATTRS:
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _GUARDED_WRITE_ATTRS
+            and foreign(node.attr)
+        ):
             return node.attr
         return None
 
@@ -414,6 +423,7 @@ def _rule_mm_encapsulation(ctx: FileContext) -> Iterator[LintError]:
                 method in _MUTATOR_METHODS
                 and isinstance(container, ast.Attribute)
                 and container.attr in _GUARDED_CONTAINER_ATTRS
+                and foreign(container.attr)
             ):
                 yield LintError(
                     ctx.path,

@@ -19,7 +19,8 @@ under vanilla, or into a HotMem partition zone under HotMem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, HotplugError, MemoryError_, OfflineFailed, OutOfMemory
 from repro.mm.block import BlockState, MemoryBlock
@@ -114,6 +115,8 @@ class GuestMemoryManager:
         #: touches them and their free pages are never double-counted.
         self._quarantined: Dict[MemoryBlock, str] = {}
         self.zones: Dict[str, Zone] = {}
+        #: Memoized :meth:`zonelist` orders, keyed by ``(movable, node)``.
+        self._zonelists: Dict[Tuple[bool, int], Tuple[Zone, ...]] = {}
         suffix = lambda n: "" if numa_nodes == 1 else f"@node{n}"  # noqa: E731
         self.normal_zones: List[Zone] = [
             self._add_zone(
@@ -182,31 +185,22 @@ class GuestMemoryManager:
 
         Movable data prefers ``ZONE_MOVABLE`` and falls back to
         ``ZONE_NORMAL`` (Section 2.2); on NUMA guests the preferred
-        node's zones come first, then the remaining nodes' in id order.
+        node's zones come first, then the remaining nodes' in id order,
+        with every node's movable zone ahead of any ``ZONE_NORMAL`` (Linux
+        prefers any movable memory over dipping into it).  The generic
+        zones are fixed at construction, so each order is computed once;
+        callers get a fresh list.
         """
-        if not 0 <= node < self.numa_nodes:
-            raise ConfigError(f"invalid NUMA node {node}")
-        order = [node] + [n for n in range(self.numa_nodes) if n != node]
-        zones: List[Zone] = []
-        for n in order:
-            if movable:
-                zones.append(self.movable_zones[n])
-            zones.append(self.normal_zones[n])
-        if movable:
-            # Movable zones of every node first, then normals — Linux
-            # prefers any movable memory over dipping into ZONE_NORMAL.
-            zones.sort(
-                key=lambda z: (z.ztype is not ZoneType.MOVABLE, order.index(
-                    self._zone_node(z)
-                ))
+        zones = self._zonelists.get((movable, node))
+        if zones is None:
+            if not 0 <= node < self.numa_nodes:
+                raise ConfigError(f"invalid NUMA node {node}")
+            order = [node] + [n for n in range(self.numa_nodes) if n != node]
+            movables = [self.movable_zones[n] for n in order] if movable else []
+            zones = self._zonelists[(movable, node)] = tuple(
+                movables + [self.normal_zones[n] for n in order]
             )
-        return zones
-
-    def _zone_node(self, zone: Zone) -> int:
-        for n in range(self.numa_nodes):
-            if zone is self.normal_zones[n] or zone is self.movable_zones[n]:
-                return n
-        return 0
+        return list(zones)
 
     # ------------------------------------------------------------------
     # Allocation / free
@@ -254,7 +248,7 @@ class GuestMemoryManager:
             )
         remaining = pages
         for block in sorted(
-            owner.block_pages, key=lambda b: b.index, reverse=True
+            owner.block_pages, key=attrgetter("index"), reverse=True
         ):
             if remaining == 0:
                 break

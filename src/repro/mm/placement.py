@@ -13,14 +13,18 @@ placement policies:
   vanilla unplug (used as an ablation bound).
 * :class:`RandomPlacement` — uniformly random block per chunk.
 
-A policy *plans* an allocation over candidate blocks; the zone then applies
-the plan.  Plans are deterministic given the policy state and RNG stream.
+A policy *plans* an allocation over the zone's usable-block index (its
+non-isolated blocks with free pages, ascending by block index, kept up to
+date by the zone at every state change); the zone then applies the plan.
+The zone also owns the capacity check, so a plan never falls short, and
+scatter costs O(blocks it visits), not O(blocks in the zone).  Plans are
+deterministic given the policy state and RNG stream.
 """
 
 from __future__ import annotations
 
 import random  # Random is only referenced as a type; draws go through make_rng
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.sim.rng import make_rng
 
@@ -47,28 +51,15 @@ class PlacementPolicy:
     name = "abstract"
 
     def plan(
-        self,
-        blocks: List["MemoryBlock"],
-        pages: int,
-        exclude: Optional[Set["MemoryBlock"]] = None,
-    ) -> Optional[Dict["MemoryBlock", int]]:
-        """Distribute ``pages`` over ``blocks``.
+        self, usable: List["MemoryBlock"], pages: int
+    ) -> Dict["MemoryBlock", int]:
+        """Distribute ``pages`` over the ``usable`` blocks.
 
-        Returns a block → page-count map, or ``None`` if the non-excluded
-        blocks do not hold enough free pages.  Must not mutate the blocks.
+        ``usable`` lists blocks with free pages in ascending block order,
+        and the caller guarantees they hold at least ``pages`` free pages.
+        Returns a block → page-count map.  Must not mutate the blocks.
         """
         raise NotImplementedError
-
-    @staticmethod
-    def _usable(
-        blocks: Iterable["MemoryBlock"], exclude: Optional[Set["MemoryBlock"]]
-    ) -> List["MemoryBlock"]:
-        excluded = exclude or set()
-        return [
-            b
-            for b in blocks
-            if b.free_pages > 0 and not b.isolated and b not in excluded
-        ]
 
 
 class SequentialPlacement(PlacementPolicy):
@@ -76,8 +67,7 @@ class SequentialPlacement(PlacementPolicy):
 
     name = "sequential"
 
-    def plan(self, blocks, pages, exclude=None):
-        usable = self._usable(blocks, exclude)
+    def plan(self, usable, pages):
         plan: Dict["MemoryBlock", int] = {}
         remaining = pages
         for block in usable:
@@ -86,8 +76,6 @@ class SequentialPlacement(PlacementPolicy):
             take = min(block.free_pages, remaining)
             plan[block] = take
             remaining -= take
-        if remaining > 0:
-            return None
         return plan
 
 
@@ -107,25 +95,23 @@ class ScatterPlacement(PlacementPolicy):
         self.chunk_pages = chunk_pages
         self._cursor = 0
 
-    def plan(self, blocks, pages, exclude=None):
-        usable = self._usable(blocks, exclude)
-        if not usable:
-            return None
-        if sum(b.free_pages for b in usable) < pages:
-            return None
+    def plan(self, usable, pages):
         plan: Dict["MemoryBlock", int] = {}
-        remaining_free = {b: b.free_pages for b in usable}
+        chunk = self.chunk_pages
+        count = len(usable)
+        index = self._cursor % count
         remaining = pages
-        index = self._cursor % len(usable)
         while remaining > 0:
             block = usable[index]
-            free = remaining_free[block]
+            taken = plan.get(block, 0)
+            free = block.free_pages - taken
             if free > 0:
-                take = min(self.chunk_pages, free, remaining)
-                plan[block] = plan.get(block, 0) + take
-                remaining_free[block] = free - take
+                take = min(chunk, free, remaining)
+                plan[block] = taken + take
                 remaining -= take
-            index = (index + 1) % len(usable)
+            index += 1
+            if index == count:
+                index = 0
         self._cursor = index
         return plan
 
@@ -143,23 +129,17 @@ class RandomPlacement(PlacementPolicy):
         self.rng = rng if rng is not None else make_rng(0, "placement/random")
         self.chunk_pages = chunk_pages
 
-    def plan(self, blocks, pages, exclude=None):
-        usable = self._usable(blocks, exclude)
-        if sum(b.free_pages for b in usable) < pages:
-            return None
+    def plan(self, usable, pages):
         plan: Dict["MemoryBlock", int] = {}
-        remaining_free = {b: b.free_pages for b in usable}
         candidates = list(usable)
         remaining = pages
         while remaining > 0:
             block = self.rng.choice(candidates)
-            free = remaining_free[block]
-            take = min(self.chunk_pages, free, remaining)
-            if take > 0:
-                plan[block] = plan.get(block, 0) + take
-                remaining_free[block] = free - take
-                remaining -= take
-            if remaining_free[block] == 0:
+            taken = plan.get(block, 0)
+            take = min(self.chunk_pages, block.free_pages - taken, remaining)
+            plan[block] = taken + take
+            remaining -= take
+            if taken + take == block.free_pages:
                 candidates.remove(block)
         return plan
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from bisect import insort
+from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
 from repro.errors import MemoryError_, OutOfMemory
@@ -21,6 +22,8 @@ from repro.mm.placement import PlacementPolicy, ScatterPlacement
 from repro.units import PAGES_PER_BLOCK, format_bytes, pages_to_bytes
 
 __all__ = ["ZoneType", "Zone"]
+
+_by_index = attrgetter("index")
 
 
 class ZoneType(enum.Enum):
@@ -35,7 +38,16 @@ class ZoneType(enum.Enum):
 
 
 class Zone:
-    """An ordered set of online memory blocks with one placement policy."""
+    """An ordered set of online memory blocks with one placement policy.
+
+    Besides its blocks the zone keeps :attr:`usable_blocks`, the index its
+    placement policy plans over: the non-isolated blocks with free pages,
+    ascending by block index.  The zone updates it at each state change
+    (add, detach, isolate, unisolate, an allocation that fills a block, a
+    release into a full block) and does the capacity check itself, so a
+    policy neither filters nor sums, and a plan walks only the blocks it
+    fills.
+    """
 
     def __init__(
         self,
@@ -47,6 +59,8 @@ class Zone:
         self.ztype = ztype
         self.placement = placement or ScatterPlacement()
         self.blocks: List[MemoryBlock] = []
+        #: Non-isolated blocks with free pages, ascending by block index.
+        self.usable_blocks: List[MemoryBlock] = []
         self._free_pages = 0
 
     # ------------------------------------------------------------------
@@ -96,7 +110,9 @@ class Zone:
         # The list stays sorted by block index; an insort is O(n) per
         # add instead of the O(n log n) re-sort this replaced (plug
         # loops add blocks one at a time).
-        insort(self.blocks, block, key=lambda b: b.index)
+        insort(self.blocks, block, key=_by_index)
+        if block.free_pages:
+            insort(self.usable_blocks, block, key=_by_index)
         self._free_pages += block.free_pages
 
     def detach_block(self, block: MemoryBlock) -> None:
@@ -109,6 +125,7 @@ class Zone:
             )
         self.blocks.remove(block)
         if not block.isolated:
+            self.usable_blocks.remove(block)
             self._free_pages -= block.free_pages
         block.isolated = False
         block.zone = None
@@ -123,6 +140,8 @@ class Zone:
         if block.isolated:
             raise MemoryError_(f"block {block.index} already isolated")
         block.isolated = True
+        if block.free_pages:
+            self.usable_blocks.remove(block)
         self._free_pages -= block.free_pages
 
     def unisolate_block(self, block: MemoryBlock) -> None:
@@ -130,6 +149,8 @@ class Zone:
         if block.zone is not self or not block.isolated:
             raise MemoryError_(f"block {block.index} is not isolated in {self.name}")
         block.isolated = False
+        if block.free_pages:
+            insort(self.usable_blocks, block, key=_by_index)
         self._free_pages += block.free_pages
 
     # ------------------------------------------------------------------
@@ -143,8 +164,8 @@ class Zone:
     ) -> Dict[MemoryBlock, int]:
         """Charge ``pages`` to ``owner`` according to the placement policy.
 
-        Raises :class:`OutOfMemory` when the zone lacks free pages, leaving
-        all state untouched.
+        Raises :class:`OutOfMemory` when the zone's blocks outside
+        ``exclude`` lack free pages, leaving all state untouched.
         """
         if pages <= 0:
             raise MemoryError_(f"invalid allocation of {pages} pages")
@@ -152,17 +173,25 @@ class Zone:
             raise MemoryError_(
                 f"zone {self.name} cannot hold unmovable owner {owner.owner_id}"
             )
-        plan = self.placement.plan(self.blocks, pages, exclude)
-        if plan is None:
+        usable = self.usable_blocks
+        if exclude:
+            usable = [b for b in usable if b not in exclude]
+            free = self.free_pages_excluding(exclude)
+        else:
+            free = self._free_pages
+        if free < pages:
             raise OutOfMemory(
                 f"zone {self.name}: cannot allocate "
                 f"{format_bytes(pages_to_bytes(pages))} "
                 f"({format_bytes(pages_to_bytes(self._free_pages))} free)"
             )
+        plan = self.placement.plan(usable, pages)
         for block, count in plan.items():
             block.charge(owner, count)
             owner._mirror_charge(block, count)
-            self._free_pages -= count
+            if not block.free_pages:
+                self.usable_blocks.remove(block)
+        self._free_pages -= pages
         return plan
 
     def release(self, owner: PageOwner, block: MemoryBlock, pages: int) -> None:
@@ -176,6 +205,8 @@ class Zone:
         block.uncharge(owner, pages)
         owner._mirror_uncharge(block, pages)
         if not block.isolated:
+            if block.free_pages == pages:
+                insort(self.usable_blocks, block, key=_by_index)
             self._free_pages += pages
 
     def __repr__(self) -> str:

@@ -19,7 +19,7 @@ from repro.mm.manager import GuestMemoryManager
 from repro.mm.mm_struct import MmStruct
 from repro.mm.owner import PageOwner
 from repro.sim import Simulator
-from repro.units import GIB, MIB
+from repro.units import GIB, MIB, PAGES_PER_BLOCK
 
 
 @pytest.fixture
@@ -59,6 +59,7 @@ class TestRegistry:
         expected = {
             "page-conservation",
             "zone-free-counter",
+            "zone-usable-index",
             "block-state-legality",
             "zone-movability",
             "owner-mirror-sync",
@@ -166,6 +167,41 @@ class TestZoneFreeCounter:
         manager.isolate_block(block)
         check_now(manager)  # isolation is not a violation
         manager.unisolate_block(block)
+        check_now(manager)
+
+
+class TestZoneUsableIndex:
+    def test_dropped_index_entry_caught(self, manager):
+        block = manager.zone_normal.usable_blocks.pop(1)
+        error = violation(manager)
+        assert error.rules == ["zone-usable-index"]
+        assert error.failures[0].blocks == (block,)
+
+    def test_full_block_left_in_index_caught(self, manager):
+        index = next(iter(manager.hotplug_block_indices()))
+        block = manager.online_block(index, manager.zone_movable)
+        mm = MmStruct("filler")
+        manager.alloc_pages(mm, PAGES_PER_BLOCK, zones=[manager.zone_movable])
+        manager.zone_movable.usable_blocks.append(block)  # a missed removal
+        error = violation(manager)
+        assert error.rules == ["zone-usable-index"]
+        assert f"holds blocks [{index}], recomputed []" in str(error)
+
+    def test_isolated_and_full_blocks_leave_the_index(self, manager):
+        index = next(iter(manager.hotplug_block_indices()))
+        block = manager.online_block(index, manager.zone_movable)
+        zone = manager.zone_movable
+        assert zone.usable_blocks == [block]
+        manager.isolate_block(block)
+        assert zone.usable_blocks == []
+        check_now(manager)
+        manager.unisolate_block(block)
+        mm = MmStruct("filler")
+        manager.alloc_pages(mm, PAGES_PER_BLOCK, zones=[zone])
+        assert zone.usable_blocks == []
+        check_now(manager)
+        manager.free_pages(mm, 1)  # a release into the full block
+        assert zone.usable_blocks == [block]
         check_now(manager)
 
 
@@ -366,6 +402,7 @@ class TestQuarantineIsolation:
         )
         assert failures and "must keep the block online" in failures[0].message
 
+    @pytest.mark.no_autosanitize  # the quarantine checkpoint would reject it first
     def test_quarantined_block_in_live_partition_caught(self, manager, hotmem):
         partition = hotmem.partitions[0]
         manager.quarantine_block(partition.zone.blocks[0])
@@ -382,6 +419,7 @@ class TestQuarantineIsolation:
         assert "quarantine-isolation" in error.rules
         assert "still assigned" in str(error)
 
+    @pytest.mark.no_autosanitize  # quarantines blocks of a live partition on the way
     def test_quarantined_partition_unassigned_ok(self, manager, hotmem):
         partition = hotmem.partitions[0]
         for block in partition.zone.blocks:

@@ -126,6 +126,20 @@ class TestMmEncapsulation:
         src = "def f(zone):\n    zone._free_pages -= 5\n"
         assert not findings(src, "repro.mm.zone", "mm-encapsulation")
 
+    @pytest.mark.parametrize(
+        "module", ["repro.mm.manager", "repro.mm.block", "repro.virtio.foo"]
+    )
+    def test_usable_index_mutated_only_by_its_zone(self, module):
+        src = (
+            "def f(zone, block):\n"
+            "    zone.usable_blocks.remove(block)\n"
+            "    zone.usable_blocks = []\n"
+        )
+        errors = findings(src, module, "mm-encapsulation")
+        assert [e.line for e in errors] == [2, 3]
+        assert ".usable_blocks" in errors[0].message
+        assert not findings(src, "repro.mm.zone", "mm-encapsulation")
+
     def test_unguarded_attribute_unflagged(self):
         src = "def f(container):\n    container.state = 'warm'\n"
         assert not findings(src, "repro.faas.container2", "mm-encapsulation")

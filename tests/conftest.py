@@ -33,11 +33,12 @@ def pytest_addoption(parser) -> None:
 @pytest.fixture(autouse=True)
 def _memory_sanitizer(request):
     """Run every test under the sanitizer when --sanitize (or
-    REPRO_SANITIZE=1) is given; a no-op otherwise."""
+    REPRO_SANITIZE=1) is given; a no-op otherwise and for tests marked
+    ``no_autosanitize``."""
     enabled = request.config.getoption("--sanitize") or os.environ.get(
         "REPRO_SANITIZE"
     )
-    if not enabled:
+    if not enabled or request.node.get_closest_marker("no_autosanitize"):
         yield
         return
     from repro.analysis import sanitizer

@@ -88,6 +88,38 @@ class TestZonelist:
         with pytest.raises(ConfigError):
             manager.zonelist(True, node=5)
 
+    def test_memoized_orders_match_the_per_call_sort(self, manager):
+        def per_call(movable, node):  # the order once rebuilt on every call
+            def zone_node(zone):
+                for n in range(manager.numa_nodes):
+                    if zone is manager.normal_zones[n] or zone is manager.movable_zones[n]:
+                        return n
+                return 0
+
+            order = [node] + [n for n in range(manager.numa_nodes) if n != node]
+            zones = []
+            for n in order:
+                if movable:
+                    zones.append(manager.movable_zones[n])
+                zones.append(manager.normal_zones[n])
+            if movable:
+                zones.sort(
+                    key=lambda z: (z.ztype is not ZoneType.MOVABLE, order.index(zone_node(z)))
+                )
+            return zones
+
+        for movable in (True, False):
+            for node in range(manager.numa_nodes):
+                assert manager.zonelist(movable, node) == per_call(movable, node)
+                assert manager.zonelist(movable, node) == per_call(movable, node)
+
+    def test_mutating_a_returned_zonelist_changes_no_later_result(self, manager):
+        zones = manager.zonelist(True, node=1)
+        expected = list(zones)
+        zones.reverse()
+        zones.pop()
+        assert manager.zonelist(True, node=1) == expected
+
 
 class TestNodeLocalAllocation:
     def test_allocation_prefers_local_node(self, manager):

@@ -1,16 +1,24 @@
-"""Unit tests for placement policies."""
+"""Unit tests for placement policies.
+
+A policy plans over a zone's usable-block index, and the zone checks
+capacity first, so full, isolated, excluded and too-small blocks are
+exercised through a :class:`Zone`.
+"""
 
 import random
 
 import pytest
 
+from repro.errors import OutOfMemory
 from repro.mm.block import BlockState, MemoryBlock
+from repro.mm.owner import PageOwner
 from repro.mm.placement import (
     RandomPlacement,
     ScatterPlacement,
     SequentialPlacement,
     make_placement,
 )
+from repro.mm.zone import Zone, ZoneType
 from repro.units import PAGES_PER_BLOCK
 
 
@@ -24,6 +32,13 @@ def make_blocks(count, free=PAGES_PER_BLOCK):
     return blocks
 
 
+def make_zone(policy, count, free=PAGES_PER_BLOCK):
+    zone = Zone("Z", ZoneType.MOVABLE, policy)
+    for block in make_blocks(count, free):
+        zone.add_block(block)
+    return zone
+
+
 class TestSequential:
     def test_fills_lowest_block_first(self):
         blocks = make_blocks(3)
@@ -35,26 +50,27 @@ class TestSequential:
         plan = SequentialPlacement().plan(blocks, PAGES_PER_BLOCK)
         assert plan == {blocks[0]: PAGES_PER_BLOCK}
 
-    def test_insufficient_returns_none(self):
-        blocks = make_blocks(1)
-        assert SequentialPlacement().plan(blocks, PAGES_PER_BLOCK + 1) is None
+    def test_insufficient_raises_out_of_memory(self):
+        zone = make_zone(SequentialPlacement(), 1)
+        with pytest.raises(OutOfMemory):
+            zone.allocate(PageOwner("p"), PAGES_PER_BLOCK + 1)
 
     def test_skips_full_blocks(self):
-        blocks = make_blocks(2)
-        blocks[0].free_pages = 0
-        plan = SequentialPlacement().plan(blocks, 10)
-        assert plan == {blocks[1]: 10}
+        zone = make_zone(SequentialPlacement(), 2)
+        zone.allocate(PageOwner("filler"), PAGES_PER_BLOCK)
+        plan = zone.allocate(PageOwner("p"), 10)
+        assert plan == {zone.blocks[1]: 10}
 
     def test_respects_exclude(self):
-        blocks = make_blocks(2)
-        plan = SequentialPlacement().plan(blocks, 10, exclude={blocks[0]})
-        assert plan == {blocks[1]: 10}
+        zone = make_zone(SequentialPlacement(), 2)
+        plan = zone.allocate(PageOwner("p"), 10, exclude={zone.blocks[0]})
+        assert plan == {zone.blocks[1]: 10}
 
     def test_skips_isolated_blocks(self):
-        blocks = make_blocks(2)
-        blocks[0].isolated = True
-        plan = SequentialPlacement().plan(blocks, 10)
-        assert plan == {blocks[1]: 10}
+        zone = make_zone(SequentialPlacement(), 2)
+        zone.isolate_block(zone.blocks[0])
+        plan = zone.allocate(PageOwner("p"), 10)
+        assert plan == {zone.blocks[1]: 10}
 
 
 class TestScatter:
@@ -81,13 +97,15 @@ class TestScatter:
         plan = ScatterPlacement(chunk_pages=256).plan(blocks, 300)
         assert all(plan[b] <= 100 for b in plan)
 
-    def test_insufficient_returns_none(self):
-        blocks = make_blocks(2, free=10)
-        assert ScatterPlacement().plan(blocks, 21) is None
+    def test_insufficient_raises_out_of_memory(self):
+        zone = make_zone(ScatterPlacement(), 2, free=10)
+        with pytest.raises(OutOfMemory):
+            zone.allocate(PageOwner("p"), 21)
 
-    def test_no_usable_blocks_returns_none(self):
-        blocks = make_blocks(2, free=0)
-        assert ScatterPlacement().plan(blocks, 1) is None
+    def test_no_usable_blocks_raises_out_of_memory(self):
+        zone = make_zone(ScatterPlacement(), 2, free=0)
+        with pytest.raises(OutOfMemory):
+            zone.allocate(PageOwner("p"), 1)
 
     def test_interleaving_two_owners(self):
         """Two successive allocations both touch most blocks — the
@@ -121,9 +139,10 @@ class TestRandom:
         plan = RandomPlacement(rng=random.Random(1)).plan(blocks, 7777)
         assert sum(plan.values()) == 7777
 
-    def test_insufficient_returns_none(self):
-        blocks = make_blocks(1, free=5)
-        assert RandomPlacement(rng=random.Random(1)).plan(blocks, 6) is None
+    def test_insufficient_raises_out_of_memory(self):
+        zone = make_zone(RandomPlacement(rng=random.Random(1)), 1, free=5)
+        with pytest.raises(OutOfMemory):
+            zone.allocate(PageOwner("p"), 6)
 
 
 class TestFactory:

@@ -75,6 +75,7 @@ class TestCellHygiene:
 
 
 class TestSanitize:
+    @pytest.mark.no_autosanitize  # asserts no sanitizer outside the cell
     def test_sanitizer_installed_only_inside_the_cell(self):
         def probe(config, cell):
             return san.is_installed()
