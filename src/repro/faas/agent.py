@@ -476,9 +476,11 @@ class Agent:
         still count as plugged on the device but their memory is about to
         vanish, so they are subtracted (otherwise a spawn would skip its
         plug and park on the HotMem attach waitqueue with nothing coming
-        to wake it).  Refused (NACK) and partial plugs are retried per
-        the resilience policy; persistent refusal degrades the agent to
-        static mode.
+        to wake it).  The request is capped at what the region can hold
+        once those unplugs finish; if one ends partial, the device grants
+        its free blocks with ``"region-partial"``.  Refused (NACK) and
+        partial plugs are retried per the resilience policy; persistent
+        refusal degrades the agent to static mode.
         """
         policy = self.resilience
         attempt = 0
@@ -497,7 +499,12 @@ class Agent:
                     - effective_plugged
                     - self._pending_plug_bytes
                 )
-                request = max(0, deficit)
+                # Never ask for more than the region can hold once the
+                # in-flight unplugs finish (they may exceed what is plugged).
+                region_free = self.vm.config.hotplug_region_bytes - max(
+                    0, self.vm.elastic_bytes - self._pending_unplug_bytes
+                )
+                request = max(0, min(deficit, region_free))
                 if request == 0:
                     break
                 attempt += 1

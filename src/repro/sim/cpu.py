@@ -12,9 +12,10 @@ controller (Section 5.4): the evaluation isolates the vCPU that serves
 virtio-mem interrupts and reports exactly the CPU time that the unplug
 path consumed on it (Figure 7).
 
-A lone task's quanta are re-armed inside the event loop (see
-:class:`CpuCore`): each boundary keeps its queue entry, so tie order is
-that of one event per quantum, but no Python code runs at it.
+Round-robin handovers are re-armed inside the event loop (see
+:class:`CpuCore`): every quantum boundary before the next completing
+slice keeps its queue entry, so tie order is that of one event per
+quantum, but no Python code runs at it.
 """
 
 from __future__ import annotations
@@ -64,13 +65,25 @@ class CpuCore:
     enough model of CFS for the per-second latency granularity the paper
     reports, while staying exactly deterministic.
 
-    A task dispatched alone with more than two quanta left arms one
-    slice-end whose boundaries, bar the last two, are re-armed in the
-    event loop.  A ``submit`` to the busy core zeroes the re-arms, so the
-    next boundary hands over in round-robin order.  Accounting reads first
-    settle the boundaries already passed; one tied with the reader but not
-    yet popped still sits at ``now`` and, like an unrun slice-end, is not
-    counted.
+    The on-core task and the run queue form a rotation of ``n`` tasks;
+    the task at position ``p`` (0 on core, then queue order) runs the
+    slices ``p``, ``p + n``, ``p + 2n``, ... after dispatch, so the first
+    slice that completes a task is ``S = min_p (ceil(r_p / q) - 1) * n + p``
+    for remaining work ``r_p`` and quantum ``q``.  Every boundary before
+    ``S`` only hands a full quantum to the next task, so a task dispatched
+    with more than one quantum left arms one slice-end with
+    ``repeats = S - 1``: the event loop re-arms those boundaries and the
+    callback runs at boundary ``S``, which dispatches the completing slice.
+    Lone tasks are the case ``n = 1``.
+
+    The passed boundaries are settled lazily: ``m`` of them are
+    ``m // n`` quanta per task plus one for each of the first ``m % n``,
+    charged in rotation order, after which the rotation turns by
+    ``m % n``.  Accounting reads settle first; a boundary tied with the
+    reader but not yet popped still sits at ``now`` and, like an unrun
+    slice-end, is not counted.  A ``submit`` to the busy core settles,
+    joins the back of the queue and zeroes the re-arms, so the next
+    boundary hands over in round-robin order.
     """
 
     def __init__(
@@ -107,10 +120,12 @@ class CpuCore:
             done.trigger(None)
             return done
         work = CpuWork(label, work_ns, done, self.sim.now)
-        self._run_queue.append(work)
         if self._current is None:
+            self._run_queue.append(work)
             self._dispatch()
         else:
+            self._settle()
+            self._run_queue.append(work)
             self._slice.repeats = 0  # hand over at the next boundary
         return work.done
 
@@ -129,15 +144,26 @@ class CpuCore:
     def _arm(self, work: CpuWork) -> None:
         quantum = self.quantum_ns
         now = self.sim.now
-        slice_ns = min(quantum, work.remaining)
+        remaining = work.remaining
+        slice_ns = min(quantum, remaining)
         self._current = work
         self._slice_started_at = now
         self._slice = call = self.sim.schedule_at(
             now + slice_ns, self._on_slice_end, work, slice_ns
         )
-        if work.remaining > 2 * quantum and not self._run_queue:
+        if remaining > quantum:
+            # ``first`` is S: the slice where the first task completes.
+            queue = self._run_queue
+            n = len(queue) + 1
+            first = (-(-remaining // quantum) - 1) * n
+            for position, queued in enumerate(queue, 1):
+                if position >= first:
+                    break
+                last = (-(-queued.remaining // quantum) - 1) * n + position
+                if last < first:
+                    first = last
             call.period = quantum
-            call.repeats = -(-work.remaining // quantum) - 2
+            call.repeats = first - 1
 
     def _charge(self, work: CpuWork, ns: int) -> None:
         self._busy_ns += ns
@@ -147,15 +173,37 @@ class CpuCore:
 
     def _settle(self) -> None:
         """Charge the quanta before the pending slice-end's boundary (none
-        for a plain slice, which is at most one quantum long)."""
-        if self._current is not None:
-            passed = self._slice.time - self.quantum_ns - self._slice_started_at
-            if passed > 0:
-                self._charge(self._current, passed)
+        for a plain slice, which is at most one quantum long) and turn the
+        rotation to the task now on core."""
+        current = self._current
+        if current is None:
+            return
+        quantum = self.quantum_ns
+        passed = (self._slice.time - self._slice_started_at) // quantum - 1
+        if passed <= 0:
+            return
+        queue = self._run_queue
+        rounds, extra = divmod(passed, len(queue) + 1)
+        for position, work in enumerate((current, *queue)):
+            quanta = rounds + (position < extra)
+            if not quanta:
+                break
+            self._charge(work, quanta * quantum)
+        if extra:
+            queue.append(current)
+            queue.rotate(1 - extra)
+            self._current = queue.popleft()
 
     def _on_slice_end(self, work: CpuWork, slice_ns: int) -> None:
-        # ``slice_ns`` is the length the slice was armed with; the charge
-        # also covers its re-armed quanta.
+        # ``work`` and ``slice_ns`` are what the slice-end was armed with.
+        # Silent handovers (settled here, or by a ``submit`` since) may
+        # have rotated another task on core, so after a settle only
+        # ``_current`` counts.  An empty queue means no rotation since
+        # the arm: ``work`` is on core, and one charge covers its re-armed
+        # quanta too.
+        if self._run_queue:
+            self._settle()
+            work = self._current
         self._charge(work, self.sim.now - self._slice_started_at)
         if work.remaining > 0 and not self._run_queue:
             self._arm(work)
@@ -204,12 +252,12 @@ class CpuCore:
         self._settle()
         return dict(self._busy_by_label)
 
-    def utilization(self, since_ns: int = 0) -> float:
-        """Fraction of wall time this core was busy since ``since_ns``."""
-        elapsed = self.sim.now - since_ns
-        if elapsed <= 0:
+    def utilization(self) -> float:
+        """Fraction of simulated time this core has been busy."""
+        now = self.sim.now
+        if now <= 0:
             return 0.0
-        return min(1.0, self.busy_ns / elapsed)
+        return min(1.0, self.busy_ns / now)
 
     def __repr__(self) -> str:
         state = "busy" if self.busy else "idle"

@@ -69,7 +69,10 @@ class PlugResult:
     #: ``"partial"`` when an injected fault granted fewer blocks than
     #: asked, ``"host-oom"`` when the host node had no free blocks at
     #: all, ``"host-partial"`` when it could only back part of the
-    #: request (oversubscribed fleets hit the last two naturally).
+    #: request (oversubscribed fleets hit the last two naturally), and
+    #: ``"region-partial"`` when the device region had fewer free
+    #: blocks than asked, possibly none (a plug queued behind an unplug
+    #: that ends partial).
     error: str = ""
     #: The injected fault behind a non-empty ``error`` (the caller
     #: resolves it with the recovery path it chose).
@@ -165,7 +168,8 @@ class VirtioMemDevice:
         """Process generator: plug ``size_bytes`` (rounded up to blocks).
 
         Returns a :class:`PlugResult`.  Raises :class:`HotplugError` when
-        the request exceeds the device region.
+        the request exceeds the whole device region; a request that only
+        exceeds its free blocks gets them and ``"region-partial"``.
         """
         n_blocks = bytes_to_blocks(size_bytes)
         yield from self._acquire()
@@ -175,10 +179,10 @@ class VirtioMemDevice:
                 for i in self.manager.hotplug_block_indices()
                 if i not in self.plugged_indices
             ]
-            if n_blocks > len(free_indices):
+            if n_blocks > self.region_blocks:
                 raise HotplugError(
                     f"plug of {format_bytes(size_bytes)} exceeds device region "
-                    f"({len(free_indices)} free blocks)"
+                    f"({self.region_blocks} blocks)"
                 )
             start = self.sim.now
             span = self.obs.span(
@@ -217,6 +221,12 @@ class VirtioMemDevice:
                 )
                 if partial is not None:
                     effective = max(1, n_blocks // 2)
+            # The region grants the blocks it has free, like the host
+            # below: the requester may have counted an in-flight unplug
+            # as gone that then ended partial.
+            region_short = effective > len(free_indices)
+            if region_short:
+                effective = len(free_indices)
             # Host exhaustion is a structured outcome, not an exception:
             # an oversubscribed node grants what it can back (possibly
             # nothing) and the agent's retry/degrade machinery takes over.
@@ -225,6 +235,7 @@ class VirtioMemDevice:
             if host_short:
                 effective = host_free_blocks
             if effective == 0:
+                error = "host-oom" if host_short else "region-partial"
                 device_phase = self.obs.span("phase.device", parent=span)
                 yield self.vmm_core.submit(
                     self.costs.virtio_request_rtt_ns, VMM_LABEL
@@ -232,14 +243,14 @@ class VirtioMemDevice:
                 device_phase.close()
                 end = self.sim.now
                 self._trace_plug(
-                    span, start, end, n_blocks * MEMORY_BLOCK_SIZE, 0, "host-oom"
+                    span, start, end, n_blocks * MEMORY_BLOCK_SIZE, 0, error
                 )
                 return PlugResult(
                     requested_bytes=n_blocks * MEMORY_BLOCK_SIZE,
                     plugged_bytes=0,
                     latency_ns=end - start,
                     zeroed_pages=0,
-                    error="host-oom",
+                    error=error,
                     fault=partial,
                 )
             chosen = free_indices[:effective]
@@ -260,6 +271,8 @@ class VirtioMemDevice:
                 error = "partial"
             elif host_short:
                 error = "host-partial"
+            elif region_short:
+                error = "region-partial"
             else:
                 error = ""
             self._trace_plug(

@@ -1,14 +1,17 @@
-"""Re-armed lone quanta in ``CpuCore`` against a per-quantum reference.
+"""Re-armed round-robin in ``CpuCore`` against a per-quantum reference.
 
-``PerQuantumCore`` is the plain round-robin slicer: one scheduled
-``_on_slice_end`` callback per quantum, charged as it runs.  Both cores
-run on the same engine, so for any schedule they must produce the same
-ordered trace of submits and completions and the same accounting at
-every read, ties included.
+``CpuCore`` lets the event loop re-arm every quantum boundary before the
+next completing slice, lone tasks and rotations of several alike, and
+settles the passed quanta lazily.  ``PerQuantumCore`` is the plain
+round-robin slicer: one scheduled ``_on_slice_end`` callback per
+quantum, charged as it runs.  Both cores run on the same engine, so for
+any schedule they must produce the same ordered trace of submits and
+completions and the same accounting at every read, ties included.
 """
 
 from collections import deque
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -78,11 +81,10 @@ class PerQuantumCore:
     def accounting(self):
         return dict(self._busy_by_label)
 
-    def utilization(self, since_ns=0):
-        elapsed = self.sim.now - since_ns
-        if elapsed <= 0:
+    def utilization(self):
+        if self.sim.now <= 0:
             return 0.0
-        return min(1.0, self._busy_ns / elapsed)
+        return min(1.0, self._busy_ns / self.sim.now)
 
 
 def _read(cores):
@@ -148,13 +150,33 @@ _job = st.tuples(
         max_size=2,
     ).map(tuple),
 )
-_schedule = st.lists(st.tuples(st.integers(0, 40), _job), min_size=1, max_size=8)
-# Quantum boundaries of tasks submitted on whole milliseconds.
-_read_times = st.lists(st.integers(0, 60).map(lambda k: k * QUANTUM), max_size=10)
+_single = st.tuples(st.integers(0, 40), _job).map(lambda job: [job])
+# 2-5 jobs submitted to one core in the same millisecond: rotations of
+# three or more tasks, often with colliding labels.
+_burst = st.builds(
+    lambda at_ms, core, works: [
+        (at_ms, (core, work_ns, label, ())) for work_ns, label in works
+    ],
+    st.integers(0, 40),
+    _core,
+    st.lists(st.tuples(_work, _label), min_size=2, max_size=5),
+)
+_schedule = st.lists(st.one_of(_single, _burst), min_size=1, max_size=8).map(
+    lambda groups: [job for group in groups for job in group]
+)
+# Quantum boundaries of tasks submitted on whole milliseconds, and odd
+# times between them.
+_read_times = st.lists(
+    st.one_of(
+        st.integers(0, 60).map(lambda k: k * QUANTUM),
+        st.integers(0, 60 * QUANTUM).map(lambda ns: ns | 1),
+    ),
+    max_size=10,
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n_cores=st.integers(2, 3), jobs=_schedule, read_times=_read_times)
+@given(n_cores=st.integers(1, 3), jobs=_schedule, read_times=_read_times)
 # Sibling vCPUs in phase: core 0's completion submits to core 1 at the
 # very instant core 1's lone task crosses a quantum boundary.
 @example(
@@ -162,12 +184,39 @@ _read_times = st.lists(st.integers(0, 60).map(lambda k: k * QUANTUM), max_size=1
     jobs=[(0, (0, 10 * MS, "a", ((1, 3 * MS, "b1", ()),))), (0, (1, 20 * MS, "c", ()))],
     read_times=[10 * MS, 12 * MS],
 )
+# A stale slice-end: "b1" is armed at 2 ms with "a" behind it, the
+# silent boundary at 4 ms hands "a" the core, and the submit at 5 ms
+# settles that rotation.  The slice-end at 6 ms was armed with "b1" but
+# must charge and hand over "a".
+@example(
+    n_cores=1,
+    jobs=[
+        (0, (0, 20 * MS, "a", ())),
+        (0, (0, 20 * MS, "b1", ())),
+        (5, (0, 3 * MS, "c", ())),
+    ],
+    read_times=[5 * MS, 7 * MS],
+)
+# A rotation of three settled two handovers in: "b1" is armed at 2 ms
+# with "c" and "a" behind it, and the submit at 7 ms finds "a" on core.
+@example(
+    n_cores=1,
+    jobs=[
+        (0, (0, 20 * MS, "a", ())),
+        (0, (0, 20 * MS, "b1", ())),
+        (0, (0, 20 * MS, "c", ())),
+        (7, (0, 3 * MS, "b2", ())),
+    ],
+    read_times=[],
+)
 def test_rearmed_core_matches_per_quantum_reference(n_cores, jobs, read_times):
     expected = simulate(PerQuantumCore, n_cores, jobs, read_times)
     assert simulate(CpuCore, n_cores, jobs, read_times) == expected
 
 
-def _count_slice_ends(monkeypatch, core_cls, work_ns):
+def _count_slice_ends(monkeypatch, core_cls, *works_ns):
+    """Submit ``works_ns`` together; return the slice-end callback count
+    and the time of every probe call."""
     calls = []
     original = core_cls._on_slice_end
 
@@ -179,9 +228,11 @@ def _count_slice_ends(monkeypatch, core_cls, work_ns):
     sim = Simulator()
     probes = []
     sim.add_probe(lambda: probes.append(sim.now))
-    done = core_cls(sim, quantum_ns=QUANTUM).submit(work_ns, "t")
+    core = core_cls(sim, quantum_ns=QUANTUM)
+    for index, work_ns in enumerate(works_ns):
+        core.submit(work_ns, f"t{index}")
     sim.run()
-    assert done.value.completed_at == work_ns
+    assert sim.now == sum(works_ns)
     return len(calls), probes
 
 
@@ -201,6 +252,18 @@ class TestSliceEndCount:
     def test_short_lone_task_is_not_rearmed(self, monkeypatch):
         count, _ = _count_slice_ends(monkeypatch, CpuCore, 2 * QUANTUM)
         assert count == 2
+
+    @pytest.mark.parametrize("tasks, expected", [(2, (4, 100)), (3, (5, 150))])
+    def test_contending_100ms_tasks(self, monkeypatch, tasks, expected):
+        # One handover before the rotation forms, one callback where the
+        # first completing slice starts, then one per completion.
+        works = [100 * MS] * tasks
+        rearmed, rearmed_probes = _count_slice_ends(monkeypatch, CpuCore, *works)
+        per_quantum, per_quantum_probes = _count_slice_ends(
+            monkeypatch, PerQuantumCore, *works
+        )
+        assert (rearmed, per_quantum) == expected
+        assert rearmed_probes == per_quantum_probes
 
 
 class TestLazyAccounting:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import HotplugError
+from repro.mm.mm_struct import MmStruct
 from repro.sim.engine import Timeout
 from repro.units import GIB, MEMORY_BLOCK_SIZE, MIB
 
@@ -23,6 +24,33 @@ class TestPlug:
         vanilla_vm.request_plug(8 * GIB)
         with pytest.raises(HotplugError):
             sim.run()
+
+    def test_plug_behind_partial_unplug_gets_the_free_blocks(self, sim, vanilla_vm):
+        region = vanilla_vm.config.hotplug_region_bytes
+        vanilla_vm.request_plug(region)
+        sim.run()
+        manager = vanilla_vm.manager
+        movable = manager.zone_movable
+        manager.alloc_pages(MmStruct("p"), movable.free_pages, zones=[movable])
+        unplug = vanilla_vm.request_unplug(1 * GIB)
+        plug = vanilla_vm.request_plug(1 * GIB)  # queued behind the unplug
+        sim.run()
+        freed = unplug.value.unplugged_bytes
+        assert 0 < freed < 1 * GIB
+        assert plug.value.plugged_bytes == freed
+        assert plug.value.error == "region-partial"
+        assert vanilla_vm.device.plugged_bytes == region
+        vanilla_vm.check_consistency()
+
+    def test_plug_into_full_region_plugs_nothing(self, sim, vanilla_vm):
+        vanilla_vm.request_plug(vanilla_vm.config.hotplug_region_bytes)
+        sim.run()
+        used_before = vanilla_vm.node.used_bytes
+        process = vanilla_vm.request_plug(MEMORY_BLOCK_SIZE)
+        sim.run()
+        assert process.value.plugged_bytes == 0
+        assert process.value.error == "region-partial"
+        assert vanilla_vm.node.used_bytes == used_before
 
     def test_plug_latency_positive_and_traced(self, sim, vanilla_vm):
         process = vanilla_vm.request_plug(256 * MIB)
