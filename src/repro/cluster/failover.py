@@ -343,8 +343,8 @@ class FailoverCoordinator:
         self.injector = injector
         self.policy = policy if policy is not None else FailoverPolicy()
         self.sim = fleet.sim
-        #: Coordinator spans/records carry ``vm="fleet"`` so the fleet
-        #: recovery log's span consumer never swallows per-VM records.
+        #: Coordinator spans and metrics carry ``vm="fleet"``, which sets
+        #: them apart from per-VM ones in the export (and its digest).
         self.obs = fleet._obs_context.scope(vm="fleet")
         self.recovery = RecoveryLog(obs=self.obs)
         self.injector.bind_sim(self.sim)

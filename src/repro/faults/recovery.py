@@ -11,13 +11,10 @@ distribution of paths taken (recovered vs. degraded) per fault rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.context import NO_SCOPE, ObsScope
 from repro.obs.span import NULL_SPAN, SpanLike
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.span import Span
 
 __all__ = [
     "RecoveryEvent",
@@ -104,24 +101,16 @@ class RecoveryEvent:
 class RecoveryLog:
     """Append-only log of recovery events for one VM.
 
-    With tracing enabled (an ``obs`` scope whose context is live) the
-    log re-expresses itself as a span consumer: :meth:`record` emits a
-    ``recovery`` span with explicit detect/resolve timestamps, and the
-    log — registered on the fleet tracer at construction — rebuilds the
-    identical :class:`RecoveryEvent` from the closed span.  Untraced
-    logs append directly; either way ``events`` is byte-identical.
+    :meth:`record` always appends the :class:`RecoveryEvent` itself.
+    With tracing enabled (an ``obs`` scope whose context is live) it
+    also closes a ``recovery`` span with the same detect/resolve
+    timestamps beside the record; the span only observes, and nothing
+    reads it back into ``events``.
     """
 
     def __init__(self, obs: Optional[ObsScope] = None) -> None:
         self.events: List[RecoveryEvent] = []
         self._obs = obs if obs is not None else NO_SCOPE
-        #: Spans carry the scope's ``vm`` label; the consumer filters on
-        #: it because the fleet tracer is shared by every VM.
-        self._vm_key = (
-            self._obs.attrs.get("vm") if self._obs.enabled else None
-        )
-        if self._obs.enabled:
-            self._obs.context.tracer.add_consumer(self.consume_span)
 
     def record(
         self,
@@ -135,20 +124,6 @@ class RecoveryLog:
         parent: SpanLike = NULL_SPAN,
     ) -> RecoveryEvent:
         """Append one event; returns it for convenience."""
-        self._obs.inc("recovery_events_total", site=site, path=path)
-        if self._obs.enabled:
-            span = self._obs.span(
-                "recovery",
-                parent=parent,
-                start_ns=detect_ns,
-                site=site,
-                path=path,
-                attempts=attempts,
-                block_index=block_index,
-                partition_id=partition_id,
-            )
-            span.close(end_ns=resolve_ns)
-            return self.events[-1]
         event = RecoveryEvent(
             site=site,
             path=path,
@@ -159,33 +134,18 @@ class RecoveryLog:
             partition_id=partition_id,
         )
         self.events.append(event)
+        self._obs.inc("recovery_events_total", site=site, path=path)
+        self._obs.span(
+            "recovery",
+            parent=parent,
+            start_ns=detect_ns,
+            site=site,
+            path=path,
+            attempts=attempts,
+            block_index=block_index,
+            partition_id=partition_id,
+        ).close(end_ns=resolve_ns)
         return event
-
-    def consume_span(self, span: "Span") -> None:
-        """Rebuild a :class:`RecoveryEvent` from a closed recovery span."""
-        if span.name != "recovery":
-            return
-        if self._vm_key is not None and span.attrs.get("vm") != self._vm_key:
-            return
-        block_index = span.attrs.get("block_index")
-        partition_id = span.attrs.get("partition_id")
-        self.events.append(
-            RecoveryEvent(
-                site=str(span.attrs.get("site", "")),
-                path=str(span.attrs.get("path", "")),
-                detect_ns=span.start_ns,
-                resolve_ns=(
-                    span.end_ns if span.end_ns is not None else span.start_ns
-                ),
-                attempts=int(span.attrs.get("attempts", 1)),  # type: ignore[arg-type]
-                block_index=(
-                    int(block_index) if block_index is not None else None  # type: ignore[arg-type]
-                ),
-                partition_id=(
-                    int(partition_id) if partition_id is not None else None  # type: ignore[arg-type]
-                ),
-            )
-        )
 
     # ------------------------------------------------------------------
     # Summaries

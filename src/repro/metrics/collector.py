@@ -3,14 +3,12 @@
 Two storage models live here:
 
 - :class:`TimeSeries` — the exact append-only ``(time_ns, value)`` log.
-  Memory grows with samples, so it is reserved for short-horizon rigs
-  and the fleet collector's explicit *exact mode*; the
-  ``no-unbounded-series`` lint rule flags any new use inside simulator
-  loops under ``cluster/``/``metrics/``.
+  Memory grows with samples, so it is reserved for short-horizon rigs;
+  the ``no-unbounded-series`` lint rule flags any new use inside
+  simulator loops under ``cluster/``/``metrics/``.
 - :class:`~repro.obs.rollup.RollupSeries` — the bounded-memory rollup
-  the fleet collector records into by default (``bounded=True``):
-  per-bucket aggregates with deterministic compaction, O(buckets)
-  resident no matter the horizon.
+  the fleet collector records into: per-bucket aggregates with
+  deterministic compaction, O(buckets) resident no matter the horizon.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ class PeriodicSampler:
     """Samples a callable into a :class:`TimeSeries` on a fixed period.
 
     Exact by design: small rigs want every sample back.  Long-horizon
-    collection belongs to :class:`FleetCollector` in bounded mode.
+    collection belongs to :class:`FleetCollector`.
     """
 
     def __init__(
@@ -133,19 +131,14 @@ class FleetCollector:
     *committed* bytes (what admission has promised) at the same
     instants.
 
-    In the default **bounded** mode every series is a
-    :class:`~repro.obs.rollup.RollupSeries` capped at ``max_buckets``
-    resident buckets, and per-host sums are recorded *at sample time*
-    (in the same host→node iteration order an exact pointwise sum
-    uses, so ``peak_used_bytes`` is bit-identical to exact mode) —
-    resident memory is O(hosts × nodes × buckets), independent of the
-    simulated horizon.  All bounded series register with the
+    Every series is a :class:`~repro.obs.rollup.RollupSeries` capped at
+    ``max_buckets`` resident buckets, and per-host sums are recorded
+    *at sample time*, in host→node order (the same float accumulation
+    as an exact pointwise sum of the node series, so peaks agree
+    bit-for-bit) — resident memory is O(hosts × nodes × buckets),
+    independent of the simulated horizon.  All series register with the
     simulator's obs context, so ``--trace`` exports them as ``rollup``
     rows for ``obs-report``.
-
-    ``bounded=False`` keeps the historical exact :class:`TimeSeries`
-    log with lazily pointwise-summed host rollups — the golden-test
-    mode, and the equivalence oracle for the bounded path.
     """
 
     def __init__(
@@ -153,7 +146,6 @@ class FleetCollector:
         sim: Simulator,
         fleet: "Fleet",
         period_ns: int,
-        bounded: bool = True,
         max_buckets: int = 256,
         labels: Optional[Dict[str, object]] = None,
     ):
@@ -162,46 +154,31 @@ class FleetCollector:
         self.sim = sim
         self.fleet = fleet
         self.period_ns = period_ns
-        self.bounded = bounded
         self.max_buckets = max_buckets
         self.labels: Dict[str, object] = dict(labels or {})
         #: (host_index, node_id) → used-bytes series.
-        self.used: Dict[Tuple[int, int], object] = {}
+        self.used: Dict[Tuple[int, int], RollupSeries] = {}
         #: (host_index, node_id) → committed-bytes series.
-        self.committed: Dict[Tuple[int, int], object] = {}
-        #: host_index → directly-recorded host-sum series (bounded mode).
+        self.committed: Dict[Tuple[int, int], RollupSeries] = {}
+        #: host_index → directly-recorded host-sum series.
         self._host_used: Dict[int, RollupSeries] = {}
         self._host_committed: Dict[int, RollupSeries] = {}
         obs = context_for(sim)
         for host_index, host in enumerate(fleet.hosts):
             for node in host.nodes:
                 key = (host_index, node.node_id)
-                if bounded:
-                    self.used[key] = self._rollup(
-                        "used", host_index, node.node_id
-                    )
-                    self.committed[key] = self._rollup(
-                        "committed", host_index, node.node_id
-                    )
-                    obs.register_rollup(self.used[key])
-                    obs.register_rollup(self.committed[key])
-                else:
-                    self.used[key] = TimeSeries(  # lint: allow[no-unbounded-series] exact mode keeps the full sample log
-                        f"used-h{host_index}n{node.node_id}", kind="used"
-                    )
-                    self.committed[key] = TimeSeries(  # lint: allow[no-unbounded-series] exact mode keeps the full sample log
-                        f"committed-h{host_index}n{node.node_id}",
-                        kind="committed",
-                    )
-            if bounded:
-                self._host_used[host_index] = self._rollup(
-                    "used", host_index, None
+                self.used[key] = self._rollup("used", host_index, node.node_id)
+                self.committed[key] = self._rollup(
+                    "committed", host_index, node.node_id
                 )
-                self._host_committed[host_index] = self._rollup(
-                    "committed", host_index, None
-                )
-                obs.register_rollup(self._host_used[host_index])
-                obs.register_rollup(self._host_committed[host_index])
+                obs.register_rollup(self.used[key])
+                obs.register_rollup(self.committed[key])
+            self._host_used[host_index] = self._rollup("used", host_index, None)
+            self._host_committed[host_index] = self._rollup(
+                "committed", host_index, None
+            )
+            obs.register_rollup(self._host_used[host_index])
+            obs.register_rollup(self._host_committed[host_index])
         self._stop = False
         self._process: Optional[Process] = None
 
@@ -238,7 +215,7 @@ class FleetCollector:
         return None
 
     def _sample(self, now: int) -> None:
-        """Record one aligned snapshot of every node (and host sums)."""
+        """Record one aligned snapshot of every node and host sum."""
         for host_index, host in enumerate(self.fleet.hosts):
             used_total = 0.0
             committed_total = 0.0
@@ -250,76 +227,32 @@ class FleetCollector:
                         host_index, node.node_id
                     )
                 )
-                self.used[key].record(now, used)  # type: ignore[attr-defined]
-                self.committed[key].record(now, committed)  # type: ignore[attr-defined]
-                # Summed in node order: identical float accumulation to
-                # exact mode's pointwise sum, so peaks agree bit-for-bit.
+                self.used[key].record(now, used)
+                self.committed[key].record(now, committed)
                 used_total += used
                 committed_total += committed
-            if self.bounded:
-                self._host_used[host_index].record(now, used_total)
-                self._host_committed[host_index].record(now, committed_total)
+            self._host_used[host_index].record(now, used_total)
+            self._host_committed[host_index].record(now, committed_total)
 
     # -- rollups -------------------------------------------------------
-    def _host_sum(
-        self, table: Dict[Tuple[int, int], object], host_index: int
-    ) -> TimeSeries:
-        parts: List[TimeSeries] = [
-            series  # type: ignore[misc]
-            for (h, _), series in table.items()
-            if h == host_index
-        ]
-        if not parts:
+    def host_used_series(self, host_index: int) -> RollupSeries:
+        """Summed used bytes across one host's nodes."""
+        if host_index not in self._host_used:
             raise ValueError(f"no series for host {host_index}")
-        lengths = {len(p) for p in parts}
-        if len(lengths) > 1:
-            detail = ", ".join(f"{p.name}={len(p)}" for p in parts)
-            raise ValueError(
-                f"host {host_index}: misaligned per-node series — a "
-                f"pointwise sum needs equal lengths, got {detail}"
-            )
-        rolled = TimeSeries(  # lint: allow[no-unbounded-series] exact-mode rollup, derived once per query
-            f"{parts[0].kind}-h{host_index}", kind=parts[0].kind
-        )
-        for i, (time_ns, _) in enumerate(parts[0].samples):
-            rolled.record(time_ns, sum(p.samples[i][1] for p in parts))
-        return rolled
+        return self._host_used[host_index]
 
-    def host_used_series(self, host_index: int):
-        """Summed used bytes across one host's nodes.
-
-        Bounded mode returns the directly-recorded
-        :class:`~repro.obs.rollup.RollupSeries`; exact mode computes
-        the pointwise :class:`TimeSeries` sum on demand.
-        """
-        if self.bounded:
-            if host_index not in self._host_used:
-                raise ValueError(f"no series for host {host_index}")
-            return self._host_used[host_index]
-        return self._host_sum(self.used, host_index)
-
-    def host_committed_series(self, host_index: int):
+    def host_committed_series(self, host_index: int) -> RollupSeries:
         """Summed committed bytes across one host's nodes."""
-        if self.bounded:
-            if host_index not in self._host_committed:
-                raise ValueError(f"no series for host {host_index}")
-            return self._host_committed[host_index]
-        return self._host_sum(self.committed, host_index)
+        if host_index not in self._host_committed:
+            raise ValueError(f"no series for host {host_index}")
+        return self._host_committed[host_index]
 
     def peak_used_bytes(self, host_index: int) -> float:
         """Peak of the host's summed used-bytes timeline."""
         return self.host_used_series(host_index).max_value()
 
     def bucket_count(self) -> int:
-        """Total resident rollup buckets (bounded mode memory bound)."""
-        if not self.bounded:
-            raise ValueError("bucket_count is a bounded-mode invariant")
-        series: List[RollupSeries] = [
-            s for s in self.used.values() if isinstance(s, RollupSeries)
-        ]
-        series += [
-            s for s in self.committed.values() if isinstance(s, RollupSeries)
-        ]
-        series += list(self._host_used.values())
-        series += list(self._host_committed.values())
+        """Total resident rollup buckets (the memory bound)."""
+        series = [*self.used.values(), *self.committed.values()]
+        series += [*self._host_used.values(), *self._host_committed.values()]
         return sum(s.bucket_count() for s in series)

@@ -34,7 +34,7 @@ from repro.units import (
     format_bytes,
     pages_to_bytes,
 )
-from repro.virtio.device import PlugResult, UnplugResult
+from repro.virtio.device import PlugResult, UnplugResult, log_plug, log_unplug
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.vmm.vm import VirtualMachine
@@ -45,66 +45,6 @@ __all__ = [
     "DimmDatapath",
     "FprDatapath",
 ]
-
-
-def _finish_plug_span(
-    vm: "VirtualMachine",
-    span: SpanLike,
-    start: int,
-    end: int,
-    requested: int,
-    completed: int,
-    error: str,
-) -> None:
-    """Close a mechanism ``device.plug`` span and emit event + metrics.
-
-    Mirrors ``VirtioMemDevice._trace_plug`` for datapaths that bypass the
-    virtio-mem device (balloon, DIMM): untraced runs append the
-    :class:`~repro.vmm.tracing.ResizeEvent` directly, traced runs let the
-    tracer's span consumer rebuild it — either way the VM's resize log is
-    populated (it used to stay silently empty for these mechanisms).
-    """
-    span.set(completed_bytes=completed, error=error)
-    if not vm.obs.enabled:
-        vm.tracer.record_plug(start, end, requested, completed)
-    span.close(end_ns=end)
-    vm.obs.inc("plug_requests_total", error=error or "ok")
-    if completed:
-        vm.obs.inc("plugged_bytes_total", completed)
-    vm.obs.observe("plug_latency_ns", end - start)
-
-
-def _finish_unplug_span(
-    vm: "VirtualMachine",
-    span: SpanLike,
-    start: int,
-    end: int,
-    requested: int,
-    completed: int,
-    migrated_pages: int,
-) -> None:
-    """Close a mechanism ``device.unplug`` span and emit event + metrics.
-
-    Zero-completed unplugs (a balloon with nothing free to inflate over,
-    a sub-DIMM request) are recorded like any other: their latency
-    charges the tracer's busy-time denominator while adding no bytes.
-    """
-    span.set(completed_bytes=completed, migrated_pages=migrated_pages)
-    if not vm.obs.enabled:
-        vm.tracer.record_unplug(start, end, requested, completed, migrated_pages)
-    span.close(end_ns=end)
-    if completed == requested:
-        outcome = "full"
-    elif completed:
-        outcome = "partial"
-    else:
-        outcome = "none"
-    vm.obs.inc("unplug_requests_total", outcome=outcome)
-    if completed:
-        vm.obs.inc("unplugged_bytes_total", completed)
-    if migrated_pages:
-        vm.obs.inc("migrated_pages_total", migrated_pages)
-    vm.obs.observe("unplug_latency_ns", end - start)
 
 
 class VirtioMemDatapath(ReclaimDatapath):
@@ -173,8 +113,9 @@ class BalloonDatapath(ReclaimDatapath):
             self.vm.node.discharge(pages_to_bytes(take))
 
     def plug(self, size_bytes: int, parent: SpanLike = NULL_SPAN):
-        start = self.vm.sim.now
-        span = self.vm.obs.span(
+        vm = self.vm
+        start = vm.sim.now
+        span = vm.obs.span(
             "device.plug",
             parent=parent,
             requested_bytes=size_bytes,
@@ -183,10 +124,10 @@ class BalloonDatapath(ReclaimDatapath):
         # Clamp to what the host can back right now (deflate charges the
         # node before releasing pages to the guest); there is no yield
         # between this check and the charge, so the clamp cannot race.
-        host_free = (self.vm.node.node.free_bytes // PAGE_SIZE) * PAGE_SIZE
+        host_free = (vm.node.node.free_bytes // PAGE_SIZE) * PAGE_SIZE
         grant = min(size_bytes, host_free)
         host_limited = grant < size_bytes
-        mech = self.vm.obs.span("phase.mechanism", parent=span, op="deflate")
+        mech = vm.obs.span("phase.mechanism", parent=span, op="deflate")
         result = yield from self.balloon.deflate(grant)
         mech.close()
         plugged = result.reclaimed_bytes
@@ -196,8 +137,8 @@ class BalloonDatapath(ReclaimDatapath):
             error = "host-oom" if host_limited else "nack"
         else:
             error = "host-partial" if host_limited else "partial"
-        _finish_plug_span(
-            self.vm, span, start, self.vm.sim.now, size_bytes, plugged, error
+        log_plug(
+            vm.tracer, vm.obs, span, start, vm.sim.now, size_bytes, plugged, error
         )
         return PlugResult(
             requested_bytes=size_bytes,
@@ -208,21 +149,23 @@ class BalloonDatapath(ReclaimDatapath):
         )
 
     def unplug(self, size_bytes: int, parent: SpanLike = NULL_SPAN):
-        start = self.vm.sim.now
-        span = self.vm.obs.span(
+        vm = self.vm
+        start = vm.sim.now
+        span = vm.obs.span(
             "device.unplug",
             parent=parent,
             requested_bytes=size_bytes,
             mechanism=self.name,
         )
-        mech = self.vm.obs.span("phase.mechanism", parent=span, op="inflate")
+        mech = vm.obs.span("phase.mechanism", parent=span, op="inflate")
         result = yield from self.balloon.inflate(size_bytes)
         mech.close()
-        _finish_unplug_span(
-            self.vm,
+        log_unplug(
+            vm.tracer,
+            vm.obs,
             span,
             start,
-            self.vm.sim.now,
+            vm.sim.now,
             size_bytes,
             result.reclaimed_bytes,
             0,
@@ -266,8 +209,9 @@ class DimmDatapath(ReclaimDatapath):
         return len(self.dimm.plugged_dimms()) * self.dimm.dimm_bytes
 
     def plug(self, size_bytes: int, parent: SpanLike = NULL_SPAN):
-        start = self.vm.sim.now
-        span = self.vm.obs.span(
+        vm = self.vm
+        start = vm.sim.now
+        span = vm.obs.span(
             "device.plug",
             parent=parent,
             requested_bytes=size_bytes,
@@ -276,10 +220,10 @@ class DimmDatapath(ReclaimDatapath):
         dimm_bytes = self.dimm.dimm_bytes
         wanted = -(-size_bytes // dimm_bytes)
         free_slots = len(self.dimm.free_dimms())
-        host_free_dimms = self.vm.node.node.free_bytes // dimm_bytes
+        host_free_dimms = vm.node.node.free_bytes // dimm_bytes
         grant = min(wanted, free_slots, host_free_dimms)
         host_limited = host_free_dimms < min(wanted, free_slots)
-        mech = self.vm.obs.span(
+        mech = vm.obs.span(
             "phase.mechanism", parent=span, op="dimm-plug", dimms=grant
         )
         latency = yield from self.dimm.plug(grant)
@@ -291,8 +235,8 @@ class DimmDatapath(ReclaimDatapath):
             error = "host-oom" if host_limited else "nack"
         else:
             error = "host-partial" if host_limited else "partial"
-        _finish_plug_span(
-            self.vm, span, start, self.vm.sim.now, size_bytes, plugged, error
+        log_plug(
+            vm.tracer, vm.obs, span, start, vm.sim.now, size_bytes, plugged, error
         )
         return PlugResult(
             requested_bytes=size_bytes,
@@ -303,8 +247,9 @@ class DimmDatapath(ReclaimDatapath):
         )
 
     def unplug(self, size_bytes: int, parent: SpanLike = NULL_SPAN):
-        start = self.vm.sim.now
-        span = self.vm.obs.span(
+        vm = self.vm
+        start = vm.sim.now
+        span = vm.obs.span(
             "device.unplug",
             parent=parent,
             requested_bytes=size_bytes,
@@ -318,7 +263,7 @@ class DimmDatapath(ReclaimDatapath):
             # refusal is still a resize request the hypervisor saw, so
             # it is recorded as a zero-completed instant event rather
             # than silently dropped from the tracer.
-            _finish_unplug_span(self.vm, span, start, start, size_bytes, 0, 0)
+            log_unplug(vm.tracer, vm.obs, span, start, start, size_bytes, 0, 0)
             return UnplugResult(
                 requested_bytes=0,
                 unplugged_bytes=0,
@@ -326,16 +271,17 @@ class DimmDatapath(ReclaimDatapath):
                 migrated_pages=0,
                 scanned_blocks=0,
             )
-        mech = self.vm.obs.span(
+        mech = vm.obs.span(
             "phase.mechanism", parent=span, op="dimm-unplug", dimms=wanted
         )
         result = yield from self.dimm.unplug(wanted * dimm_bytes)
         mech.close()
-        _finish_unplug_span(
-            self.vm,
+        log_unplug(
+            vm.tracer,
+            vm.obs,
             span,
             start,
-            self.vm.sim.now,
+            vm.sim.now,
             result.requested_dimms * dimm_bytes,
             result.unplugged_bytes,
             result.migrated_pages,
@@ -371,11 +317,12 @@ class DimmDatapath(ReclaimDatapath):
 class FprDatapath(VirtioMemDatapath):
     """Free page reporting: a statically sized VM plus a reporting loop.
 
-    The VM never resizes (the mode is not elastic), so plug/unplug
-    inherit the virtio-mem pass-through for completeness; the value of
-    this datapath is the background loop that lazily returns free pages
-    to the host and the retire hook that stops it before the VM's host
-    account closes.
+    The VM never shrinks (the mode is not elastic): plugs inherit the
+    virtio-mem pass-through, and unplugs are refused the way DIMM
+    hotplug refuses a sub-DIMM request, because the reporting loop has
+    already handed free pages of the plugged blocks back to the host.
+    The value of this datapath is that background loop and the retire
+    hook that stops it before the VM's host account closes.
     """
 
     name = "fpr"
@@ -383,6 +330,26 @@ class FprDatapath(VirtioMemDatapath):
     def __init__(self, vm: "VirtualMachine", fpr: FreePageReporting):
         super().__init__(vm)
         self.fpr = fpr
+
+    def unplug(self, size_bytes: int, parent: SpanLike = NULL_SPAN):
+        """Log a zero-completed instant request; touch no device or host."""
+        yield from ()  # a process generator that never waits
+        vm = self.vm
+        start = vm.sim.now
+        span = vm.obs.span(
+            "device.unplug",
+            parent=parent,
+            requested_bytes=size_bytes,
+            mechanism=self.name,
+        )
+        log_unplug(vm.tracer, vm.obs, span, start, start, size_bytes, 0, 0)
+        return UnplugResult(
+            requested_bytes=0,
+            unplugged_bytes=0,
+            latency_ns=0,
+            migrated_pages=0,
+            scanned_blocks=0,
+        )
 
     def start(self) -> None:
         """Start the reporting loop (runs until :meth:`on_retire`)."""

@@ -20,7 +20,7 @@ an untraced run execute the exact same event sequence.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -77,7 +77,7 @@ class Span:
         return self
 
     def close(self, end_ns: Optional[int] = None, **attrs: object) -> "Span":
-        """Close the span (idempotent; consumers fire on the first close)."""
+        """Close the span (idempotent: only the first close counts)."""
         if self.end_ns is not None:
             return self
         if attrs:
@@ -153,11 +153,11 @@ class Tracer:
 
     One tracer serves one :class:`Simulator` (one fleet).  Span ids are
     dense and deterministic; ``trace_id`` is inherited from the parent
-    (roots start their own trace).  Consumers registered with
-    :meth:`add_consumer` see every span exactly once, at close time, in
-    close order — this is how :class:`~repro.vmm.tracing.HypervisorTracer`
-    and :class:`~repro.faults.recovery.RecoveryLog` are fed when tracing
-    is enabled.
+    (roots start their own trace).  Closed spans are kept in close order
+    for export; nothing subscribes to them, so domain logs such as
+    :class:`~repro.vmm.tracing.HypervisorTracer` and
+    :class:`~repro.faults.recovery.RecoveryLog` append their own records
+    and a span only observes.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -166,7 +166,6 @@ class Tracer:
         self._next_id = 1
         self._open: Dict[int, Span] = {}
         self._finished: List[Span] = []
-        self._consumers: List[Callable[[Span], None]] = []
 
     def bind_sim(self, sim: "Simulator") -> None:
         self._sim = sim
@@ -221,13 +220,6 @@ class Tracer:
     def _finish(self, span: Span) -> None:
         self._open.pop(span.span_id, None)
         self._finished.append(span)
-        for consumer in self._consumers:
-            consumer(span)
-
-    def add_consumer(self, consumer: Callable[[Span], None]) -> None:
-        """Register a callable invoked once per span, at close time."""
-        if self.enabled:
-            self._consumers.append(consumer)
 
     def spans(self) -> List[Span]:
         """All closed spans, in close order."""

@@ -51,7 +51,13 @@ from repro.virtio.driver import VirtioMemDriver
 if TYPE_CHECKING:  # pragma: no cover - avoids a package-level import cycle
     from repro.vmm.tracing import HypervisorTracer
 
-__all__ = ["VirtioMemDevice", "PlugResult", "UnplugResult"]
+__all__ = [
+    "VirtioMemDevice",
+    "PlugResult",
+    "UnplugResult",
+    "log_plug",
+    "log_unplug",
+]
 
 #: Accounting label for VMM-side device work (madvise etc.).
 VMM_LABEL = "vmm:virtio-mem"
@@ -98,6 +104,64 @@ class UnplugResult:
         return self.unplugged_bytes == self.requested_bytes
 
 
+def log_plug(
+    tracer: "HypervisorTracer",
+    obs: ObsScope,
+    span: SpanLike,
+    start: int,
+    end: int,
+    requested: int,
+    completed: int,
+    error: str,
+) -> None:
+    """Log one plug request and close its ``device.plug`` span beside it.
+
+    Every plug mechanism (this device, the balloon, DIMM hotplug) ends
+    its request here.  The append to the VM's resize log always runs;
+    the span and the metrics only observe, and are no-ops untraced.
+    """
+    tracer.record_plug(start, end, requested, completed)
+    span.close(end_ns=end, completed_bytes=completed, error=error)
+    obs.inc("plug_requests_total", error=error or "ok")
+    if completed:
+        obs.inc("plugged_bytes_total", completed)
+    obs.observe("plug_latency_ns", end - start)
+
+
+def log_unplug(
+    tracer: "HypervisorTracer",
+    obs: ObsScope,
+    span: SpanLike,
+    start: int,
+    end: int,
+    requested: int,
+    completed: int,
+    migrated_pages: int,
+) -> None:
+    """Log one unplug request and close its ``device.unplug`` span.
+
+    The unplug twin of :func:`log_plug`.  Zero-completed requests (every
+    block quarantined, a refused sub-DIMM or non-elastic unplug, a
+    balloon with nothing to inflate) are logged like any other.
+    """
+    tracer.record_unplug(start, end, requested, completed, migrated_pages)
+    span.close(
+        end_ns=end, completed_bytes=completed, migrated_pages=migrated_pages
+    )
+    if completed == requested:
+        outcome = "full"
+    elif completed:
+        outcome = "partial"
+    else:
+        outcome = "none"
+    obs.inc("unplug_requests_total", outcome=outcome)
+    if completed:
+        obs.inc("unplugged_bytes_total", completed)
+    if migrated_pages:
+        obs.inc("migrated_pages_total", migrated_pages)
+    obs.observe("unplug_latency_ns", end - start)
+
+
 class VirtioMemDevice:
     """One VM's paravirtualized hot(un)plug device."""
 
@@ -124,10 +188,6 @@ class VirtioMemDevice:
         self.faults = faults
         self.recovery = recovery
         self.obs = obs
-        # When tracing, resize events flow through the span consumer
-        # (HypervisorTracer.consume_span) instead of direct record_*
-        # calls — same instants, same values, no double recording.
-        self._traced = obs.enabled
         self.plugged_indices: Set[int] = set()
         self._busy = False
         self._waiters: Deque[Event] = deque()
@@ -184,11 +244,10 @@ class VirtioMemDevice:
                     f"plug of {format_bytes(size_bytes)} exceeds device region "
                     f"({self.region_blocks} blocks)"
                 )
+            requested = n_blocks * MEMORY_BLOCK_SIZE
             start = self.sim.now
             span = self.obs.span(
-                "device.plug",
-                parent=parent,
-                requested_bytes=n_blocks * MEMORY_BLOCK_SIZE,
+                "device.plug", parent=parent, requested_bytes=requested
             )
             nack = self.faults.fire(
                 DEVICE_PLUG_NACK, parent=span, requested_blocks=n_blocks
@@ -202,11 +261,9 @@ class VirtioMemDevice:
                 )
                 device_phase.close()
                 end = self.sim.now
-                self._trace_plug(
-                    span, start, end, n_blocks * MEMORY_BLOCK_SIZE, 0, "nack"
-                )
+                log_plug(self.tracer, self.obs, span, start, end, requested, 0, "nack")
                 return PlugResult(
-                    requested_bytes=n_blocks * MEMORY_BLOCK_SIZE,
+                    requested_bytes=requested,
                     plugged_bytes=0,
                     latency_ns=end - start,
                     zeroed_pages=0,
@@ -242,11 +299,9 @@ class VirtioMemDevice:
                 )
                 device_phase.close()
                 end = self.sim.now
-                self._trace_plug(
-                    span, start, end, n_blocks * MEMORY_BLOCK_SIZE, 0, error
-                )
+                log_plug(self.tracer, self.obs, span, start, end, requested, 0, error)
                 return PlugResult(
-                    requested_bytes=n_blocks * MEMORY_BLOCK_SIZE,
+                    requested_bytes=requested,
                     plugged_bytes=0,
                     latency_ns=end - start,
                     zeroed_pages=0,
@@ -275,11 +330,11 @@ class VirtioMemDevice:
                 error = "region-partial"
             else:
                 error = ""
-            self._trace_plug(
-                span, start, end, n_blocks * MEMORY_BLOCK_SIZE, plugged_bytes, error
+            log_plug(
+                self.tracer, self.obs, span, start, end, requested, plugged_bytes, error
             )
             return PlugResult(
-                requested_bytes=n_blocks * MEMORY_BLOCK_SIZE,
+                requested_bytes=requested,
                 plugged_bytes=plugged_bytes,
                 latency_ns=end - start,
                 zeroed_pages=outcome.zeroed_pages,
@@ -288,54 +343,6 @@ class VirtioMemDevice:
             )
         finally:
             self._release()
-
-    def _trace_plug(
-        self,
-        span: SpanLike,
-        start: int,
-        end: int,
-        requested: int,
-        completed: int,
-        error: str,
-    ) -> None:
-        """Close the plug span and emit the legacy event + metrics."""
-        span.set(completed_bytes=completed, error=error)
-        if not self._traced:
-            self.tracer.record_plug(start, end, requested, completed)
-        span.close(end_ns=end)
-        self.obs.inc("plug_requests_total", error=error or "ok")
-        if completed:
-            self.obs.inc("plugged_bytes_total", completed)
-        self.obs.observe("plug_latency_ns", end - start)
-
-    def _trace_unplug(
-        self,
-        span: SpanLike,
-        start: int,
-        end: int,
-        requested: int,
-        completed: int,
-        migrated_pages: int,
-    ) -> None:
-        """Close the unplug span and emit the legacy event + metrics."""
-        span.set(completed_bytes=completed, migrated_pages=migrated_pages)
-        if not self._traced:
-            self.tracer.record_unplug(
-                start, end, requested, completed, migrated_pages
-            )
-        span.close(end_ns=end)
-        if completed == requested:
-            outcome = "full"
-        elif completed:
-            outcome = "partial"
-        else:
-            outcome = "none"
-        self.obs.inc("unplug_requests_total", outcome=outcome)
-        if completed:
-            self.obs.inc("unplugged_bytes_total", completed)
-        if migrated_pages:
-            self.obs.inc("migrated_pages_total", migrated_pages)
-        self.obs.observe("unplug_latency_ns", end - start)
 
     def _maybe_stall(self, parent: SpanLike = NULL_SPAN):
         """Process generator: injected extra latency on the device response.
@@ -403,11 +410,10 @@ class VirtioMemDevice:
         try:
             if n_blocks > len(self.plugged_indices):
                 n_blocks = len(self.plugged_indices)
+            requested = n_blocks * MEMORY_BLOCK_SIZE
             start = self.sim.now
             span = self.obs.span(
-                "device.unplug",
-                parent=parent,
-                requested_bytes=n_blocks * MEMORY_BLOCK_SIZE,
+                "device.unplug", parent=parent, requested_bytes=requested
             )
             device_phase = self.obs.span("phase.device", parent=span)
             yield self.vmm_core.submit(self.costs.virtio_request_rtt_ns, VMM_LABEL)
@@ -435,16 +441,18 @@ class VirtioMemDevice:
                 )
             end = self.sim.now
             unplugged_bytes = outcome.unplugged_blocks * MEMORY_BLOCK_SIZE
-            self._trace_unplug(
+            log_unplug(
+                self.tracer,
+                self.obs,
                 span,
                 start,
                 end,
-                n_blocks * MEMORY_BLOCK_SIZE,
+                requested,
                 unplugged_bytes,
                 outcome.migrated_pages,
             )
             return UnplugResult(
-                requested_bytes=n_blocks * MEMORY_BLOCK_SIZE,
+                requested_bytes=requested,
                 unplugged_bytes=unplugged_bytes,
                 latency_ns=end - start,
                 migrated_pages=outcome.migrated_pages,

@@ -12,26 +12,19 @@ request: their latency charges the busy-time denominator of
 reclaimed bytes — time spent failing to reclaim is still time the unplug
 machinery was busy.
 
-With ``--trace`` installed the tracer doubles as a span consumer
-(:meth:`HypervisorTracer.consume_span`): the device closes a
-``device.plug``/``device.unplug`` span instead of calling ``record_*``
-directly, and the consumer rebuilds the identical :class:`ResizeEvent`
-from the span — same timestamps, same byte counts, same order — so the
-legacy event API stays intact for every downstream metric.
+Every request is appended here whether or not tracing is on: the
+datapath logs it through :func:`repro.virtio.device.log_plug` /
+:func:`~repro.virtio.device.log_unplug`, which close the request's
+``device.plug``/``device.unplug`` span beside the record.  The span
+only observes; nothing reads it back into this log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.span import Span
+from typing import List
 
 __all__ = ["ResizeEvent", "HypervisorTracer"]
-
-#: Span names the tracer consumes (see ``docs/observability.md``).
-_RESIZE_SPANS = ("device.plug", "device.unplug")
 
 
 @dataclass
@@ -99,32 +92,6 @@ class HypervisorTracer:
                 mode=self.mode,
             )
         )
-
-    # ------------------------------------------------------------------
-    # Span consumption (the --trace feed)
-    # ------------------------------------------------------------------
-    def consume_span(self, span: "Span") -> None:
-        """Rebuild a :class:`ResizeEvent` from a closed resize span.
-
-        Registered on the fleet tracer when tracing is enabled; spans
-        from other VMs (the tracer is per-fleet) are filtered by the
-        ``vm`` attribute.  The produced events are byte-identical to
-        what direct ``record_*`` calls would have appended.
-        """
-        if span.name not in _RESIZE_SPANS:
-            return
-        if self.vm_name and span.attrs.get("vm") != self.vm_name:
-            return
-        requested = int(span.attrs.get("requested_bytes", 0))  # type: ignore[arg-type]
-        completed = int(span.attrs.get("completed_bytes", 0))  # type: ignore[arg-type]
-        end_ns = span.end_ns if span.end_ns is not None else span.start_ns
-        if span.name == "device.plug":
-            self.record_plug(span.start_ns, end_ns, requested, completed)
-        else:
-            migrated = int(span.attrs.get("migrated_pages", 0))  # type: ignore[arg-type]
-            self.record_unplug(
-                span.start_ns, end_ns, requested, completed, migrated
-            )
 
     # ------------------------------------------------------------------
     # Derived metrics

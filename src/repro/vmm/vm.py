@@ -78,7 +78,7 @@ class VirtualMachine:
         self.faults.bind_obs(self.obs)
         self.retry_policy = retry_policy if retry_policy is not None else NO_RETRY
         #: Every recovery/degradation the datapath performs lands here
-        #: (span-fed when tracing, direct appends otherwise).
+        #: (appended directly; its ``recovery`` span only observes).
         self.recovery_log = RecoveryLog(obs=self.obs)
 
         boot_bytes = config.effective_boot_memory_bytes
@@ -132,14 +132,11 @@ class VirtualMachine:
             shared_file_zones=shared_zones,
         )
 
-        # virtio-mem device/driver pair.  When tracing, the tracer joins
-        # the fleet tracer's consumers: resize events are rebuilt from
-        # closed device spans instead of direct record_* calls.
+        # virtio-mem device/driver pair.  Every datapath appends its
+        # resize requests to ``tracer``, traced or not.
         self.tracer = HypervisorTracer(
             vm_name=config.name, mode=str(self.obs.attrs.get("mode", ""))
         )
-        if self.obs.enabled:
-            self.obs.context.tracer.add_consumer(self.tracer.consume_span)
         self.driver = VirtioMemDriver(
             sim,
             self.manager,

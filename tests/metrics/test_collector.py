@@ -5,7 +5,8 @@ import pytest
 from repro.metrics.collector import FleetCollector, PeriodicSampler, TimeSeries
 from repro.metrics.latency import percentile
 from repro.obs.rollup import RollupSeries
-from repro.units import SEC
+from repro.sim import Timeout
+from repro.units import GIB, SEC
 
 
 class TestTimeSeries:
@@ -111,9 +112,75 @@ class TestTimeSeriesRejectsNonFinite:
         assert len(series) == 0
 
 
+class ExactFleetCollector:
+    """The exact oracle for :class:`FleetCollector`'s rollups.
+
+    Keeps every per-node sample in a :class:`TimeSeries` and sums a
+    host's nodes pointwise on demand, in node order.
+    """
+
+    def __init__(self, sim, fleet, period_ns):
+        self.sim = sim
+        self.fleet = fleet
+        self.period_ns = period_ns
+        self.used = {}
+        self.committed = {}
+        for host_index, host in enumerate(fleet.hosts):
+            for node in host.nodes:
+                suffix = f"h{host_index}n{node.node_id}"
+                key = (host_index, node.node_id)
+                self.used[key] = TimeSeries(f"used-{suffix}", kind="used")
+                self.committed[key] = TimeSeries(
+                    f"committed-{suffix}", kind="committed"
+                )
+
+    def start(self, until_ns):
+        return self.sim.spawn(self._loop(until_ns), name="exact-collector")
+
+    def _loop(self, until_ns):
+        while self.sim.now <= until_ns:
+            for host_index, host in enumerate(self.fleet.hosts):
+                for node in host.nodes:
+                    key = (host_index, node.node_id)
+                    committed = self.fleet.arbiter.committed_bytes(
+                        host_index, node.node_id
+                    )
+                    self.used[key].record(self.sim.now, node.used_bytes)
+                    self.committed[key].record(self.sim.now, committed)
+            yield Timeout(self.period_ns)
+
+    def _host_sum(self, table, host_index):
+        parts = [series for (h, _), series in table.items() if h == host_index]
+        if not parts:
+            raise ValueError(f"no series for host {host_index}")
+        lengths = {len(p) for p in parts}
+        if len(lengths) > 1:
+            detail = ", ".join(f"{p.name}={len(p)}" for p in parts)
+            raise ValueError(
+                f"host {host_index}: misaligned per-node series — a "
+                f"pointwise sum needs equal lengths, got {detail}"
+            )
+        rolled = TimeSeries(f"{parts[0].kind}-h{host_index}", kind=parts[0].kind)
+        for i, (time_ns, _) in enumerate(parts[0].samples):
+            rolled.record(time_ns, sum(p.samples[i][1] for p in parts))
+        return rolled
+
+    def host_used_series(self, host_index):
+        return self._host_sum(self.used, host_index)
+
+    def host_committed_series(self, host_index):
+        return self._host_sum(self.committed, host_index)
+
+    def peak_used_bytes(self, host_index):
+        return self.host_used_series(host_index).max_value()
+
+
 class TestFleetCollectorExactMode:
+    """The exact oracle, and the rollup names it shares with the
+    collector."""
+
     def test_host_rollup_is_pointwise_sum(self, sim, fleet):
-        collector = FleetCollector(sim, fleet, period_ns=SEC, bounded=False)
+        collector = ExactFleetCollector(sim, fleet, period_ns=SEC)
         collector.start(until_ns=3 * SEC)
         sim.run(until=3 * SEC)
         rolled = collector.host_used_series(0)
@@ -123,21 +190,25 @@ class TestFleetCollectorExactMode:
             assert value == sum(p.samples[i][1] for p in parts)
 
     def test_rolled_series_names_come_from_kind(self, sim, fleet):
-        collector = FleetCollector(sim, fleet, period_ns=SEC, bounded=False)
+        collector = FleetCollector(sim, fleet, period_ns=SEC)
+        exact = ExactFleetCollector(sim, fleet, period_ns=SEC)
         collector.start(until_ns=2 * SEC)
+        exact.start(until_ns=2 * SEC)
         sim.run(until=2 * SEC)
         assert collector.host_used_series(0).name == "used-h0"
         assert collector.host_used_series(0).kind == "used"
         assert collector.host_committed_series(0).name == "committed-h0"
         assert collector.host_committed_series(0).kind == "committed"
+        assert exact.host_used_series(0).name == "used-h0"
+        assert exact.host_committed_series(0).name == "committed-h0"
 
     def test_unknown_host_raises(self, sim, fleet):
-        collector = FleetCollector(sim, fleet, period_ns=SEC, bounded=False)
+        collector = ExactFleetCollector(sim, fleet, period_ns=SEC)
         with pytest.raises(ValueError, match="no series for host 7"):
             collector.host_used_series(7)
 
     def test_misaligned_series_raise_with_lengths(self, sim, fleet):
-        collector = FleetCollector(sim, fleet, period_ns=SEC, bounded=False)
+        collector = ExactFleetCollector(sim, fleet, period_ns=SEC)
         collector.start(until_ns=3 * SEC)
         sim.run(until=3 * SEC)
         straggler = TimeSeries("used-h0n99")
@@ -150,10 +221,6 @@ class TestFleetCollectorExactMode:
 
 
 class TestFleetCollectorBoundedMode:
-    def test_bounded_is_the_default(self, sim, fleet):
-        collector = FleetCollector(sim, fleet, period_ns=SEC)
-        assert collector.bounded
-
     def test_host_series_is_a_rollup(self, sim, fleet):
         collector = FleetCollector(sim, fleet, period_ns=SEC)
         collector.start(until_ns=3 * SEC)
@@ -169,16 +236,23 @@ class TestFleetCollectorBoundedMode:
         with pytest.raises(ValueError, match="no series for host 7"):
             collector.host_used_series(7)
 
-    def test_peak_matches_exact_mode_bitwise(self, sim, fleet):
+    def test_peak_matches_exact_mode_bitwise(self, sim, fleet, vanilla_vm):
         bounded = FleetCollector(sim, fleet, period_ns=SEC)
-        exact = FleetCollector(sim, fleet, period_ns=SEC, bounded=False)
+        exact = ExactFleetCollector(sim, fleet, period_ns=SEC)
         bounded.start(until_ns=5 * SEC)
         exact.start(until_ns=5 * SEC)
+        vanilla_vm.request_plug(GIB)  # so the host timeline moves
         sim.run(until=5 * SEC)
         for host_index in range(len(fleet.hosts)):
             assert bounded.peak_used_bytes(host_index) == exact.peak_used_bytes(
                 host_index
             )
+        # Six samples stay in unit-width buckets, one sample each, so the
+        # rollup must hold the oracle's pointwise sums exactly.
+        oracle = exact.host_used_series(0).samples
+        host = bounded.host_used_series(0)
+        assert [(b.first_ns, b.last) for b in host.buckets] == oracle
+        assert oracle[0][1] < oracle[-1][1]
 
     def test_resident_buckets_stay_bounded_over_long_horizons(
         self, sim, fleet
@@ -198,11 +272,6 @@ class TestFleetCollectorBoundedMode:
         # Sample counts keep growing even though residency does not.
         host = collector.host_used_series(0)
         assert len(host) > max_buckets
-
-    def test_bucket_count_is_bounded_mode_only(self, sim, fleet):
-        exact = FleetCollector(sim, fleet, period_ns=SEC, bounded=False)
-        with pytest.raises(ValueError, match="bounded-mode"):
-            exact.bucket_count()
 
     def test_labels_propagate_to_every_series(self, sim, fleet):
         collector = FleetCollector(

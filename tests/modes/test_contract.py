@@ -18,8 +18,10 @@ from repro.cluster.routing import TraceRouter
 from repro.faas.agent import FunctionDeployment
 from repro.faas.policy import KeepAlivePolicy
 from repro.modes import DeploymentBackend, get_mode, registered
+from repro.obs import traced
 from repro.sim import Simulator
-from repro.units import MIB, SEC
+from repro.units import GIB, MIB, SEC
+from repro.virtio.device import PlugResult, UnplugResult
 from repro.workloads.functions import get_function
 from repro.workloads.traces import InvocationTrace
 
@@ -59,6 +61,20 @@ def serve(sim: Simulator, fleet: Fleet, mode: DeploymentBackend, count: int = 3)
     router.run(until_ns=30 * SEC)
     handle.vm.check_consistency()
     return handle, router
+
+
+def resize_round_trip(mode: DeploymentBackend):
+    """Plug 2 GiB into one fresh VM, run 30 s, unplug 1.5 GiB, run 30 s
+    more, and return the VM; neither request may raise."""
+    sim = Simulator()
+    vm = Fleet(sim).provision(spec_for(mode, f"{mode.name}-vm")).vm
+    plug = vm.request_plug(2 * GIB)
+    sim.run(until=30 * SEC)
+    unplug = vm.request_unplug(3 * GIB // 2)
+    sim.run(until=60 * SEC)
+    assert isinstance(plug.value, PlugResult)
+    assert isinstance(unplug.value, UnplugResult)
+    return vm
 
 
 @pytest.fixture(params=MODES, ids=[m.name for m in MODES])
@@ -110,6 +126,16 @@ class TestModeContract:
         handle.vm.check_consistency()
         assert handle.vm.elastic_bytes < grown
         assert mode.reclaim_granularity_bytes > 0
+
+    def test_resize_round_trip_logs_the_same_traced(self, mode):
+        plain = resize_round_trip(mode)
+        # Obs contexts bind at provision time: build the VM in-session.
+        with traced():
+            vm = resize_round_trip(mode)
+        # Refused requests (fpr's unplug) are logged too.
+        assert [e.kind for e in plain.tracer.events] == ["plug", "unplug"]
+        assert vm.tracer.events == plain.tracer.events
+        assert vm.recovery_log.events == plain.recovery_log.events
 
     def test_sanitizer_invariants_hold(self, mode):
         sim = Simulator()

@@ -1,5 +1,5 @@
 """Unit tests for causal spans: identity, parenting, close semantics,
-consumers, and the inert NULL_SPAN."""
+and the inert NULL_SPAN."""
 
 import gc
 import tracemalloc
@@ -54,14 +54,12 @@ class TestSpanIdentity:
 class TestSpanClose:
     def test_close_stamps_clock_and_fires_consumer_once(self):
         sim, tracer = make_tracer()
-        seen = []
-        tracer.add_consumer(seen.append)
         span = tracer.span("faas.invoke")
         sim.run_process(_advance(100), name="t")
         span.close()
-        span.close()  # idempotent: consumer must not fire again
+        span.close()  # idempotent: the span must not finish again
         assert span.end_ns == 100
-        assert seen == [span]
+        assert tracer.spans() == [span]
 
     def test_explicit_end_ns_and_close_attrs(self):
         _, tracer = make_tracer()
@@ -118,23 +116,12 @@ class TestTracerRegistry:
         closed = tracer.close_open(cut="run-end")
         assert closed == 2
         assert tracer.open_spans() == 0
-        # Close order: the child (higher id) first, so consumers never
-        # see a parent finish while its child is still open.
+        # Close order: the child (higher id) first, so the export never
+        # shows a parent finished while its child is still open.
         assert tracer.spans() == [child, root]
         assert root.attrs["cut"] == "run-end"
         assert child.attrs["cut"] == "run-end"
         assert tracer.close_open() == 0  # idempotent
-
-    def test_consumers_see_close_order(self):
-        sim, tracer = make_tracer()
-        order = []
-        tracer.add_consumer(lambda s: order.append(s.name))
-        first = tracer.span("first")
-        second = tracer.span("second")
-        second.close()
-        first.close()
-        del sim
-        assert order == ["second", "first"]
 
 
 class TestDisabledTracer:
@@ -144,11 +131,6 @@ class TestDisabledTracer:
         assert tracer.event("y") is NULL_SPAN
         assert tracer.spans() == []
         assert tracer.open_spans() == 0
-
-    def test_consumers_not_registered(self):
-        tracer = Tracer(enabled=False)
-        tracer.add_consumer(lambda s: (_ for _ in ()).throw(AssertionError))
-        tracer.span("x").close()  # must not raise
 
 
 class TestNullSpan:
