@@ -9,7 +9,8 @@ Section 4 mechanism at its smallest.
 Run:  python examples/partition_lifecycle.py
 """
 
-from repro import DeploymentMode, Fleet, Simulator, VirtualMachine, VmSpec
+from repro import Fleet, Simulator, VirtualMachine, VmSpec
+from repro.modes import HOTMEM
 from repro.units import MIB, format_bytes, format_ns
 
 
@@ -25,7 +26,7 @@ def main() -> None:
     sim = Simulator()
     spec = VmSpec.for_function(
         "lifecycle",
-        DeploymentMode.HOTMEM,
+        HOTMEM,
         memory_limit_bytes=384 * MIB,
         concurrency=3,
         shared_bytes=128 * MIB,

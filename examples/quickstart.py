@@ -8,7 +8,8 @@ latency gap — the paper's headline result, at toy scale.
 Run:  python examples/quickstart.py
 """
 
-from repro import DeploymentMode, Fleet, Simulator, VmSpec
+from repro import Fleet, Simulator, VmSpec
+from repro.modes import HOTMEM
 from repro.units import MIB, format_bytes, format_ns
 from repro.workloads import Memhog
 
@@ -23,7 +24,7 @@ def run_one(mode: str) -> tuple[int, int]:
         # per-instance partition size, concurrency factor N, shared size.
         spec = VmSpec.for_function(
             mode,
-            DeploymentMode.HOTMEM,
+            HOTMEM,
             memory_limit_bytes=384 * MIB,
             concurrency=8,
         )

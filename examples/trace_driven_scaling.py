@@ -12,18 +12,15 @@ Run:  python examples/trace_driven_scaling.py [function]
 
 import sys
 
-from repro import DeploymentMode, FunctionLoad, ServerlessScenario, run_scenario
+from repro import FunctionLoad, ServerlessScenario, run_scenario
 from repro.metrics import p99_ms, render_table
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 
 
 def main() -> None:
     function = sys.argv[1] if len(sys.argv) > 1 else "bert"
     rows = []
-    for mode in (
-        DeploymentMode.HOTMEM,
-        DeploymentMode.VANILLA,
-        DeploymentMode.OVERPROVISIONED,
-    ):
+    for mode in (HOTMEM, VANILLA, OVERPROVISIONED):
         scenario = ServerlessScenario(
             mode=mode,
             loads=(FunctionLoad.for_function(function),),
@@ -36,7 +33,7 @@ def main() -> None:
         plugs = run.plug_latencies_ms()
         rows.append(
             [
-                mode.value,
+                mode.name,
                 len(records),
                 run.cold_starts[function],
                 p99_ms(records),

@@ -49,7 +49,6 @@ from repro.experiments import (
 from repro.faas import (
     Agent,
     ContainerStats,
-    DeploymentMode,
     EvictionPolicy,
     EvictionRecord,
     FaasRuntime,
@@ -142,7 +141,6 @@ __all__ = [
     # serverless runtime
     "Agent",
     "ContainerStats",
-    "DeploymentMode",
     "EvictionPolicy",
     "EvictionRecord",
     "FaasRuntime",

@@ -11,7 +11,8 @@ drivers that run every registered rule — AST and CFG/dataflow alike —
 over one parsed :class:`~repro.analysis.rules.FileContext` per file
 (the AST is parsed once and walked once; see ``docs/analysis.md``).
 
-Syntactic rules registered here:
+Ownership rules say "only the owners may do this".  They are the rows
+of one declarative table, :data:`OWNERSHIP`, checked by one visitor:
 
 ``no-direct-random``
     No ``random``-module calls (or ``from random import ...``) inside
@@ -25,11 +26,6 @@ Syntactic rules registered here:
     friends in the same scope: simulated time comes from
     ``Simulator.now``.
 
-``no-float-page-eq``
-    No ``==``/``!=`` against float literals where the other operand names
-    a page/byte/nanosecond quantity; counts are integers, compare them as
-    integers (or use explicit tolerances for derived ratios).
-
 ``mm-encapsulation``
     Writes to mm accounting structures (``owner_pages``, ``block_pages``,
     ``_free_pages``, ``free_pages``, ``isolated``, and mutations of a
@@ -39,25 +35,6 @@ Syntactic rules registered here:
     must go through the manager API — exactly the boundary the runtime
     sanitizer audits.
 
-``module-all-required``
-    Every module under ``repro`` declares ``__all__``: the public surface
-    is explicit, and star-imports stay predictable.
-
-``no-bare-except``
-    No bare ``except:`` anywhere under ``repro``.  The fault-injection
-    plane works because failures travel through *named* exceptions with
-    structured context; a bare handler also swallows the sanitizer's
-    ``InvariantViolation``, turning accounting corruption into silence.
-
-``no-mode-branching``
-    No membership tests against ``DeploymentMode`` members (``is``/
-    ``==``/``in`` and their negations) outside ``repro.modes``.  Each
-    mode's behaviour lives on its registered backend object (elasticity,
-    admission credit, datapath factory, fault sites); branching on mode
-    identity elsewhere re-scatters exactly the special-casing the
-    registry exists to hold in one place.  Ask the mode object, or add a
-    hook to :class:`repro.modes.base.DeploymentBackend`.
-
 ``no-print-in-src``
     No ``print()`` calls under ``repro`` outside ``repro.experiments``
     (the CLI layer owns its report output; standalone ``tools/`` scripts
@@ -65,17 +42,6 @@ Syntactic rules registered here:
     surface something emits a span, event or metric through
     :mod:`repro.obs` — observability that is structured, deterministic
     and exportable instead of interleaved stdout noise.
-
-``no-adhoc-sweep``
-    Experiment modules never hand-roll sweep loops: a ``for``/``while``
-    whose body builds or runs whole scenarios (``run_scenario``,
-    ``MicrobenchRig``, ``Simulator``, ``Fleet``, ...) bypasses
-    :mod:`repro.sweep` — losing the stable cell ids, ``--workers``
-    sharding and deterministic merge the engine provides.  Declare the
-    points as a :class:`~repro.sweep.grid.SweepGrid` and iterate
-    ``run_sweep`` results instead.  The scenario/rig engines themselves
-    (``repro.experiments.serverless``/``microbench``) and the CLI
-    dispatch are exempt.
 
 ``no-direct-evict``
     Container eviction is the lifecycle layer's monopoly: outside the
@@ -87,6 +53,34 @@ Syntactic rules registered here:
     ranking, the eviction records trace-report attributes cold starts
     to, and the unplug coupling — go through
     ``Agent.recycle_pass``/``request_reclaim``.
+
+The other syntactic rules registered here:
+
+``no-float-page-eq``
+    No ``==``/``!=`` against float literals where the other operand names
+    a page/byte/nanosecond quantity; counts are integers, compare them as
+    integers (or use explicit tolerances for derived ratios).
+
+``module-all-required``
+    Every module under ``repro`` declares ``__all__``: the public surface
+    is explicit, and star-imports stay predictable.
+
+``no-bare-except``
+    No bare ``except:`` anywhere under ``repro``.  The fault-injection
+    plane works because failures travel through *named* exceptions with
+    structured context; a bare handler also swallows the sanitizer's
+    ``InvariantViolation``, turning accounting corruption into silence.
+
+``no-adhoc-sweep``
+    Experiment modules never hand-roll sweep loops: a ``for``/``while``
+    whose body builds or runs whole scenarios (``run_scenario``,
+    ``MicrobenchRig``, ``Simulator``, ``Fleet``, ...) bypasses
+    :mod:`repro.sweep` — losing the stable cell ids, ``--workers``
+    sharding and deterministic merge the engine provides.  Declare the
+    points as a :class:`~repro.sweep.grid.SweepGrid` and iterate
+    ``run_sweep`` results instead.  The scenario/rig engines themselves
+    (``repro.experiments.serverless``/``microbench``) and the CLI
+    dispatch are exempt.
 
 The CFG/dataflow rule families (``stale-guard-across-yield``,
 ``unchecked-result``, ``span-hygiene``, ``no-sim-sleep-side-effect``)
@@ -112,9 +106,10 @@ from __future__ import annotations
 import ast
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis import cfg as cfg_mod
 from repro.analysis.rules import (
@@ -126,6 +121,8 @@ from repro.analysis.rules import (
 
 __all__ = [
     "LintError",
+    "OWNERSHIP",
+    "Ownership",
     "RULES",
     "lint_source",
     "lint_file",
@@ -135,35 +132,7 @@ __all__ = [
 ]
 
 
-#: Packages the determinism rules apply to.
-_DETERMINISM_SCOPE = (
-    "repro.sim",
-    "repro.mm",
-    "repro.experiments",
-    "repro.workloads",
-)
-#: The sanctioned seeded-RNG entry point (exempt from no-direct-random).
-_RNG_ENTRYPOINT = "repro.sim.rng"
-#: Modules allowed to mutate mm accounting structures.
-_MM_OWNING_MODULES = {
-    "repro.mm.zone",
-    "repro.mm.block",
-    "repro.mm.owner",
-    "repro.mm.manager",
-}
-#: Guarded attributes that a single owning module mutates alone.
-_MM_SOLE_OWNER = {"usable_blocks": "repro.mm.zone"}
-#: Attributes guarded by mm-encapsulation (write/mutation targets).
-_GUARDED_WRITE_ATTRS = {
-    "owner_pages",
-    "block_pages",
-    "_free_pages",
-    "free_pages",
-    "isolated",
-    "usable_blocks",
-}
-#: Container attributes whose in-place mutator calls are guarded.
-_GUARDED_CONTAINER_ATTRS = {"owner_pages", "block_pages", "blocks", "usable_blocks"}
+#: In-place mutators: calling one on an owned attribute writes to it.
 _MUTATOR_METHODS = {
     "append",
     "clear",
@@ -175,19 +144,6 @@ _MUTATOR_METHODS = {
     "setdefault",
     "sort",
     "update",
-}
-#: Wall-clock call patterns (dotted suffixes).
-_WALLCLOCK_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "date.today",
 }
 #: Identifier fragments that mark a page/byte/time quantity.
 _QUANTITY_RE = re.compile(r"(page|byte|block|_ns$|^ns_|latency|bytes)", re.I)
@@ -202,16 +158,6 @@ _SCENARIO_ENTRYPOINTS = {
     "Fleet",
     "ServerlessScenario",
 }
-#: Modules that own container eviction (exempt from no-direct-evict):
-#: the agent drives it, the lifecycle layer ranks it, the container
-#: implements it.
-_EVICTION_OWNING_MODULES = {
-    "repro.faas.agent",
-    "repro.faas.lifecycle",
-    "repro.faas.container",
-}
-#: Teardown entry points only the eviction owners may call.
-_TEARDOWN_METHODS = {"teardown", "destroy_after_oom"}
 
 
 # ----------------------------------------------------------------------
@@ -269,70 +215,205 @@ def _mentions_quantity(node: ast.AST) -> bool:
 _register = DEFAULT_REGISTRY.rule
 
 
-@_register(
-    "no-direct-random",
-    (
-        "sim/mm/experiments/workloads must draw randomness from "
-        "repro.sim.rng.make_rng, never the bare random module"
-    ),
-)
-def _rule_no_direct_random(ctx: FileContext) -> Iterator[LintError]:
-    if (
-        not _in_scope(ctx.module, _DETERMINISM_SCOPE)
-        or ctx.module == _RNG_ENTRYPOINT
-    ):
-        return
-    for node in ctx.nodes:
-        if isinstance(node, ast.ImportFrom) and node.module == "random":
-            yield LintError(
-                ctx.path,
-                node.lineno,
-                node.col_offset,
-                "no-direct-random",
-                "from random import ... bypasses the seeded streams; use "
-                "repro.sim.rng.make_rng",
-            )
-        elif isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            if dotted is not None and (
-                dotted == "random" or dotted.startswith("random.")
-            ):
-                yield LintError(
-                    ctx.path,
-                    node.lineno,
-                    node.col_offset,
-                    "no-direct-random",
-                    f"call to {dotted}() is unseeded; draw from "
-                    f"repro.sim.rng.make_rng instead",
-                )
+@dataclass(frozen=True)
+class Ownership:
+    """One row of the ownership table: only ``owners`` may use these things.
+
+    Inside the ``scope`` packages, every module except the ``owners``
+    (both matched with their submodules) gets a ``rule`` finding for each
+    use of an owned thing.  Rows may share a rule id, for instance to give
+    one attribute a narrower owner set than the rest of its rule.
+    """
+
+    rule: str
+    description: str
+    scope: Tuple[str, ...]
+    owners: Tuple[str, ...]
+    #: Follows what was used in the finding's message.
+    message: str
+    #: Modules: ``from M import ...`` and every call into ``M``.
+    modules: Tuple[str, ...] = ()
+    #: Functions, matched on the callee's last two dotted names (so
+    #: ``datetime.now`` also catches ``dt.datetime.now()``).
+    calls: Tuple[str, ...] = ()
+    #: Attributes assigned or deleted, directly or through one subscript.
+    writes: Tuple[str, ...] = ()
+    #: Attributes an in-place mutator is called on, likewise.
+    mutated: Tuple[str, ...] = ()
+    #: Method names, on any receiver.
+    methods: Tuple[str, ...] = ()
 
 
-@_register(
-    "no-wallclock",
+_MM_ENCAPSULATION = Ownership(
+    "mm-encapsulation",
     (
-        "sim/mm/experiments/workloads must take time from the engine "
-        "clock, never time.time()/datetime.now()"
+        "mm accounting structures are only mutated by their owning "
+        "modules (repro.mm.zone/block/owner/manager)"
+    ),
+    scope=("repro",),
+    owners=("repro.mm.zone", "repro.mm.block", "repro.mm.owner", "repro.mm.manager"),
+    message="outside the owning mm module; go through the GuestMemoryManager API",
+    writes=("owner_pages", "block_pages", "_free_pages", "free_pages", "isolated"),
+    mutated=("owner_pages", "block_pages", "blocks"),
+)
+
+#: The "only X may do Y" rules, one row per owner set.
+OWNERSHIP: Tuple[Ownership, ...] = (
+    Ownership(
+        "no-direct-random",
+        (
+            "sim/mm/experiments/workloads must draw randomness from "
+            "repro.sim.rng.make_rng, never the bare random module"
+        ),
+        scope=("repro.sim", "repro.mm", "repro.experiments", "repro.workloads"),
+        owners=("repro.sim.rng",),
+        message="bypasses the seeded streams; draw from repro.sim.rng.make_rng",
+        modules=("random",),
+    ),
+    Ownership(
+        "no-wallclock",
+        (
+            "sim/mm/experiments/workloads must take time from the engine "
+            "clock, never time.time()/datetime.now()"
+        ),
+        scope=("repro.sim", "repro.mm", "repro.experiments", "repro.workloads"),
+        owners=(),
+        message="reads the wall clock; simulated time comes from Simulator.now",
+        calls=(
+            "time.time",
+            "time.time_ns",
+            "time.monotonic",
+            "time.monotonic_ns",
+            "time.perf_counter",
+            "time.perf_counter_ns",
+            "datetime.now",
+            "datetime.utcnow",
+            "datetime.today",
+            "date.today",
+        ),
+    ),
+    _MM_ENCAPSULATION,
+    # A zone's usable-block index has one owner: the zone.
+    replace(
+        _MM_ENCAPSULATION,
+        owners=("repro.mm.zone",),
+        writes=("usable_blocks",),
+        mutated=("usable_blocks",),
+    ),
+    Ownership(
+        "no-print-in-src",
+        (
+            "library code never print()s; emit spans/metrics through "
+            "repro.obs (experiments and tools keep their report output)"
+        ),
+        scope=("repro",),
+        owners=("repro.experiments",),
+        message=(
+            "in library code; emit a span/event/metric through repro.obs "
+            "(or move the report to repro.experiments)"
+        ),
+        calls=("print",),
+    ),
+    Ownership(
+        "no-direct-evict",
+        (
+            "container eviction goes through the lifecycle layer: never "
+            "mutate an agent's idle pools or call container teardown "
+            "outside repro.faas.agent/lifecycle/container"
+        ),
+        scope=("repro",),
+        owners=("repro.faas.agent", "repro.faas.lifecycle", "repro.faas.container"),
+        message=(
+            "outside the lifecycle layer; evict through "
+            "Agent.recycle_pass/request_reclaim"
+        ),
+        writes=("idle",),
+        mutated=("idle",),
+        methods=("teardown", "destroy_after_oom"),
     ),
 )
-def _rule_no_wallclock(ctx: FileContext) -> Iterator[LintError]:
-    if not _in_scope(ctx.module, _DETERMINISM_SCOPE):
-        return
-    for node in ctx.nodes:
-        if not isinstance(node, ast.Call):
-            continue
+
+
+def _attribute(node: ast.AST) -> Optional[str]:
+    """``attr`` for ``x.attr`` and ``x.attr[k]``, else None."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+#: The node types a use of an owned thing can appear as.
+_USE_NODES = (
+    ast.ImportFrom,
+    ast.Call,
+    ast.Assign,
+    ast.Delete,
+    ast.AugAssign,
+    ast.AnnAssign,
+)
+
+
+def _owned_uses(node: ast.AST) -> Iterator[Tuple[str, Optional[str], str]]:
+    """``(kind, name, what)`` for each use ``node`` makes of something a
+    row can own; ``kind`` is the :class:`Ownership` field to look in."""
+    if isinstance(node, ast.ImportFrom):
+        yield "modules", node.module, f"from {node.module} import ..."
+    elif isinstance(node, ast.Call):
         dotted = _dotted(node.func)
-        if dotted is None:
+        if dotted is not None:
+            parts = dotted.split(".")
+            yield "modules", parts[0], f"{dotted}()"
+            yield "calls", ".".join(parts[-2:]), f"{dotted}()"
+        if isinstance(node.func, ast.Attribute):
+            method = node.func.attr
+            yield "methods", method, f".{method}()"
+            attr = _attribute(node.func.value)
+            if attr is not None and method in _MUTATOR_METHODS:
+                yield "mutated", attr, f"in-place mutation .{attr}.{method}()"
+    else:
+        targets: List[ast.expr] = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            attr = _attribute(target)
+            if attr is not None:
+                yield "writes", attr, f"write to .{attr}"
+
+
+def _check_ownership(
+    rows: Sequence[Ownership], ctx: FileContext
+) -> Iterator[LintError]:
+    rows = [
+        row
+        for row in rows
+        if _in_scope(ctx.module, row.scope) and not _in_scope(ctx.module, row.owners)
+    ]
+    if not rows:
+        return
+    for node in ctx.nodes:
+        if not isinstance(node, _USE_NODES):
             continue
-        tail2 = ".".join(dotted.split(".")[-2:])
-        if dotted in _WALLCLOCK_CALLS or tail2 in _WALLCLOCK_CALLS:
-            yield LintError(
-                ctx.path,
-                node.lineno,
-                node.col_offset,
-                "no-wallclock",
-                f"{dotted}() reads the wall clock; simulated time comes "
-                f"from Simulator.now",
-            )
+        for kind, name, what in _owned_uses(node):
+            for row in rows:
+                if name in getattr(row, kind):
+                    yield LintError(
+                        ctx.path,
+                        node.lineno,
+                        node.col_offset,
+                        row.rule,
+                        f"{what} {row.message}",
+                    )
+
+
+def _register_ownership() -> None:
+    """One registered rule per rule id, checking all of that id's rows."""
+    for rule in dict.fromkeys(row.rule for row in OWNERSHIP):
+        rows = tuple(row for row in OWNERSHIP if row.rule == rule)
+        _register(rule, rows[0].description)(partial(_check_ownership, rows))
+
+
+_register_ownership()
 
 
 @_register(
@@ -365,75 +446,6 @@ def _rule_no_float_page_eq(ctx: FileContext) -> Iterator[LintError]:
                 "float equality on a page/byte/ns quantity; counts are "
                 "integers — compare as int or use an explicit tolerance",
             )
-
-
-@_register(
-    "mm-encapsulation",
-    (
-        "mm accounting structures are only mutated by their owning "
-        "modules (repro.mm.zone/block/owner/manager)"
-    ),
-)
-def _rule_mm_encapsulation(ctx: FileContext) -> Iterator[LintError]:
-    if not _in_scope(ctx.module, ("repro",)):
-        return
-
-    def foreign(attr: str) -> bool:
-        sole = _MM_SOLE_OWNER.get(attr)
-        return ctx.module != sole if sole else ctx.module not in _MM_OWNING_MODULES
-
-    def guarded_attr(node: ast.AST) -> Optional[str]:
-        # x.owner_pages = ..., x.owner_pages[k] = ..., del x.owner_pages[k]
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr in _GUARDED_WRITE_ATTRS
-            and foreign(node.attr)
-        ):
-            return node.attr
-        return None
-
-    for node in ctx.nodes:
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = list(node.targets)
-        for target in targets:
-            attr = guarded_attr(target)
-            # Writes to *self* attributes define a class's own unrelated
-            # field (e.g. an experiment dataclass named free_pages) only
-            # inside mm modules; elsewhere the names are reserved.
-            if attr is not None:
-                yield LintError(
-                    ctx.path,
-                    node.lineno,
-                    node.col_offset,
-                    "mm-encapsulation",
-                    f"write to guarded mm attribute .{attr} outside its "
-                    f"owning module; go through the GuestMemoryManager API",
-                )
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            method = node.func.attr
-            container = node.func.value
-            if (
-                method in _MUTATOR_METHODS
-                and isinstance(container, ast.Attribute)
-                and container.attr in _GUARDED_CONTAINER_ATTRS
-                and foreign(container.attr)
-            ):
-                yield LintError(
-                    ctx.path,
-                    node.lineno,
-                    node.col_offset,
-                    "mm-encapsulation",
-                    f"in-place mutation .{container.attr}.{method}() outside "
-                    f"the owning mm module; go through the "
-                    f"GuestMemoryManager API",
-                )
 
 
 @_register(
@@ -495,74 +507,6 @@ def _rule_no_bare_except(ctx: FileContext) -> Iterator[LintError]:
 
 
 @_register(
-    "no-mode-branching",
-    (
-        "never branch on DeploymentMode membership outside repro.modes; "
-        "behaviour belongs on the registered backend object"
-    ),
-)
-def _rule_no_mode_branching(ctx: FileContext) -> Iterator[LintError]:
-    if not _in_scope(ctx.module, ("repro",)) or _in_scope(
-        ctx.module, ("repro.modes",)
-    ):
-        return
-
-    def names_mode_member(operand: ast.AST) -> bool:
-        for child in ast.walk(operand):
-            if isinstance(child, ast.Attribute):
-                dotted = _dotted(child)
-                if dotted is not None and "DeploymentMode." in dotted:
-                    return True
-        return False
-
-    for node in ctx.nodes:
-        if not isinstance(node, ast.Compare):
-            continue
-        branching_ops = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq, ast.In, ast.NotIn)
-        if not any(isinstance(op, branching_ops) for op in node.ops):
-            continue
-        operands = [node.left] + list(node.comparators)
-        if any(names_mode_member(operand) for operand in operands):
-            yield LintError(
-                ctx.path,
-                node.lineno,
-                node.col_offset,
-                "no-mode-branching",
-                "membership test against DeploymentMode members outside "
-                "repro.modes; ask the mode object (mode.elastic, "
-                "mode.fault_sites, ...) or add a DeploymentBackend hook",
-            )
-
-
-@_register(
-    "no-print-in-src",
-    (
-        "library code never print()s; emit spans/metrics through "
-        "repro.obs (experiments and tools keep their report output)"
-    ),
-)
-def _rule_no_print_in_src(ctx: FileContext) -> Iterator[LintError]:
-    if not _in_scope(ctx.module, ("repro",)) or _in_scope(
-        ctx.module, ("repro.experiments",)
-    ):
-        return
-    for node in ctx.nodes:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "print"
-        ):
-            yield LintError(
-                ctx.path,
-                node.lineno,
-                node.col_offset,
-                "no-print-in-src",
-                "print() in library code; emit a span/event/metric through "
-                "repro.obs (or move the report to repro.experiments)",
-            )
-
-
-@_register(
     "no-adhoc-sweep",
     (
         "experiment modules iterate sweep points through repro.sweep "
@@ -598,70 +542,6 @@ def _rule_no_adhoc_sweep(ctx: FileContext) -> Iterator[LintError]:
                     "and merge deterministically)",
                 )
                 break  # one finding per loop is enough
-
-
-@_register(
-    "no-direct-evict",
-    (
-        "container eviction goes through the lifecycle layer: never "
-        "mutate an agent's idle pools or call container teardown "
-        "outside repro.faas.agent/lifecycle/container"
-    ),
-)
-def _rule_no_direct_evict(ctx: FileContext) -> Iterator[LintError]:
-    if (
-        not _in_scope(ctx.module, ("repro",))
-        or ctx.module in _EVICTION_OWNING_MODULES
-    ):
-        return
-
-    def is_idle_pool(node: ast.AST) -> bool:
-        # x.idle = ..., x.idle[k] = ..., del x.idle[k]
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        return isinstance(node, ast.Attribute) and node.attr == "idle"
-
-    for node in ctx.nodes:
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = list(node.targets)
-        for target in targets:
-            if is_idle_pool(target):
-                yield LintError(
-                    ctx.path,
-                    node.lineno,
-                    node.col_offset,
-                    "no-direct-evict",
-                    "write to an agent idle pool outside the lifecycle "
-                    "layer; evict through Agent.recycle_pass/"
-                    "request_reclaim",
-                )
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            method = node.func.attr
-            if method in _TEARDOWN_METHODS:
-                yield LintError(
-                    ctx.path,
-                    node.lineno,
-                    node.col_offset,
-                    "no-direct-evict",
-                    f".{method}() outside the lifecycle layer bypasses "
-                    f"eviction ranking, records and the unplug coupling; "
-                    f"go through Agent.recycle_pass/request_reclaim",
-                )
-            elif method in _MUTATOR_METHODS and is_idle_pool(node.func.value):
-                yield LintError(
-                    ctx.path,
-                    node.lineno,
-                    node.col_offset,
-                    "no-direct-evict",
-                    f"in-place mutation .idle.{method}() outside the "
-                    f"lifecycle layer; evict through Agent.recycle_pass/"
-                    f"request_reclaim",
-                )
 
 
 @_register(

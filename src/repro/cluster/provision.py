@@ -41,11 +41,11 @@ from repro.cluster.placement import PlacementPolicy, get_placement_policy
 from repro.core.config import HotMemBootParams
 from repro.errors import AdmissionRejected, ClusterError, ConfigError
 from repro.faas.agent import Agent, FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.policy import ResiliencePolicy, RetryPolicy
 from repro.host.machine import HostAccount, HostMachine, NumaNode
-from repro.modes import DeploymentBackend, get_mode
+from repro.modes import VANILLA, DeploymentBackend, get_mode
 from repro.obs.session import context_for
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.engine import Process, Simulator, Timeout
@@ -66,7 +66,7 @@ class VmSpec:
     """
 
     name: str
-    mode: Union[str, DeploymentBackend] = DeploymentMode.VANILLA
+    mode: Union[str, DeploymentBackend] = VANILLA
     #: Explicit device-region size; ``None`` derives it from the
     #: partition geometry.
     region_bytes: Optional[int] = None

@@ -17,8 +17,8 @@ from repro.experiments.serverless import (
     ServerlessScenario,
     run_scenario,
 )
-from repro.faas.policy import DeploymentMode
 from repro.metrics.report import render_table
+from repro.modes import HOTMEM
 from repro.sim.costs import DEFAULT_COSTS, CostModel, ZeroingMode
 from repro.sweep import Cell, SweepGrid, register_experiment, run_sweep
 from repro.units import GIB, MIB
@@ -280,7 +280,7 @@ def run_concurrency_ablation(
 
 def _concurrency_cell(duration_s: int, cell: Cell) -> Tuple[float, int, int]:
     scenario = ServerlessScenario(
-        mode=DeploymentMode.HOTMEM,
+        mode=HOTMEM,
         loads=(
             FunctionLoad.for_function("html", max_instances=cell["n"]),
         ),

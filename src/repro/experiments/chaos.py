@@ -244,7 +244,7 @@ def _run_cell(
     log = RecoveryLog()
     log.events.extend(run_result.recovery_events)
     return ChaosCell(
-        mode=mode.value,
+        mode=mode.name,
         rate=rate,
         reclaim_mib_s=run_result.reclaim_mib_per_s,
         p99_ms=p99_ms(records) if records else 0.0,
@@ -265,7 +265,7 @@ def _cell(config: ChaosConfig, cell: Cell) -> ChaosCell:
 def _grid(config: ChaosConfig) -> SweepGrid:
     return (
         SweepGrid("chaos")
-        .axis("mode", tuple(m.value for m in resolve_modes(config.modes)))
+        .axis("mode", tuple(m.name for m in resolve_modes(config.modes)))
         .axis("rate", config.fault_rates)
     )
 

@@ -300,7 +300,7 @@ def _vm_spec(
     function = config.functions[index % len(config.functions)]
     spec = get_function(function)
     return VmSpec.for_function(
-        f"{mode.value}-vm{index}",
+        f"{mode.name}-vm{index}",
         mode,
         spec.memory_limit_bytes,
         concurrency=config.instances_per_vm,
@@ -373,7 +373,7 @@ def _run_cell(
             burst_rps=burst_rps,
             base_rps=config.base_rps_per_replica * replicas[function],
             bursts=((burst_start, burst_start + config.burst_len_s),),
-            stream=f"cluster-chaos/{mode.value}/{rate}",
+            stream=f"cluster-chaos/{mode.name}/{rate}",
         )
         router.drive(trace)
 
@@ -407,7 +407,7 @@ def _run_cell(
     rejected = sum(len(e.rejected) for e in coordinator.evacuations)
     recovery = coordinator.recovery
     return ClusterChaosCell(
-        mode=mode.value,
+        mode=mode.name,
         rate=rate,
         invocations=len(records),
         availability=len(successes) / len(records) if records else 1.0,
@@ -433,7 +433,7 @@ def _cell(config: ClusterChaosConfig, cell: Cell) -> ClusterChaosCell:
 def _grid(config: ClusterChaosConfig) -> SweepGrid:
     return (
         SweepGrid("cluster-chaos")
-        .axis("mode", tuple(m.value for m in config.mode_objects()))
+        .axis("mode", tuple(m.name for m in config.mode_objects()))
         .axis("rate", config.fault_rates)
     )
 

@@ -32,13 +32,20 @@ from repro.cluster.admission import AdmissionResult, ArbitrationPolicy
 from repro.cluster.provision import Fleet, VmSpec
 from repro.cluster.routing import TraceRouter
 from repro.faas.agent import FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.faas.records import InvocationRecord
 from repro.faults.policy import ResiliencePolicy, RetryPolicy
 from repro.metrics.collector import FleetCollector
 from repro.metrics.latency import merged_percentile_ms
 from repro.metrics.report import render_fleet_latency, render_table
-from repro.modes import DeploymentBackend, get_mode, resolve_modes
+from repro.modes import (
+    HOTMEM,
+    OVERPROVISIONED,
+    VANILLA,
+    DeploymentBackend,
+    get_mode,
+    resolve_modes,
+)
 from repro.obs.slo import SloMonitor, fleet_slo_specs
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.engine import Simulator
@@ -50,11 +57,7 @@ from repro.workloads.functions import get_function
 __all__ = ["DensityConfig", "DensityCell", "DensityModeResult", "DensityResult", "run"]
 
 #: The paper's original three-way comparison (kept as the default sweep).
-MODES = (
-    DeploymentMode.OVERPROVISIONED,
-    DeploymentMode.VANILLA,
-    DeploymentMode.HOTMEM,
-)
+MODES = (OVERPROVISIONED, VANILLA, HOTMEM)
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ class DensityResult:
     modes: Dict[str, DensityModeResult] = field(default_factory=dict)
 
     def density(self, mode) -> int:
-        return self.modes[get_mode(mode).value].vms_per_host
+        return self.modes[get_mode(mode).name].vms_per_host
 
     def ordering_holds(self) -> bool:
         """hotmem packs at least as densely as every other swept mode
@@ -197,7 +200,7 @@ class DensityResult:
             best = result.best
             out.append(
                 [
-                    mode.value,
+                    mode.name,
                     result.admitted_vms_per_host,
                     result.vms_per_host,
                     best.total_vms if best else 0,
@@ -255,7 +258,7 @@ def _vm_spec(
     function = config.functions[index % len(config.functions)]
     spec = get_function(function)
     return VmSpec.for_function(
-        f"{mode.value}-vm{index}",
+        f"{mode.name}-vm{index}",
         mode,
         spec.memory_limit_bytes,
         concurrency=config.instances_per_vm,
@@ -349,11 +352,11 @@ def _run_cell(
             burst_rps=burst_rps,
             base_rps=config.base_rps_per_replica * replicas[function],
             bursts=((burst_start, burst_start + config.burst_len_s),),
-            stream=f"density/{mode.value}/{vms_per_host}",
+            stream=f"density/{mode.name}/{vms_per_host}",
         )
         router.drive(trace)
 
-    labels = {"mode": mode.value, "vms_per_host": vms_per_host}
+    labels = {"mode": mode.name, "vms_per_host": vms_per_host}
     monitor = SloMonitor(
         sim,
         router,
@@ -442,7 +445,7 @@ def _cell(config: DensityConfig, cell: Cell) -> DensityModeResult:
 
 def _grid(config: DensityConfig) -> SweepGrid:
     return SweepGrid("density").axis(
-        "mode", tuple(m.value for m in config.mode_objects())
+        "mode", tuple(m.name for m in config.mode_objects())
     )
 
 
@@ -451,7 +454,7 @@ def run(config: DensityConfig = DensityConfig()) -> DensityResult:
     result = DensityResult(config)
     for cell_result in run_sweep(_grid(config), _cell, config):
         mode_result: DensityModeResult = cell_result.payload
-        result.modes[mode_result.mode.value] = mode_result
+        result.modes[mode_result.mode.name] = mode_result
     return result
 
 

@@ -21,7 +21,6 @@ from repro.experiments.serverless import (
     ServerlessRun,
     run_scenario,
 )
-from repro.faas.policy import DeploymentMode
 from repro.metrics.latency import (
     per_second_average_ms,
     spike_factor,
@@ -128,7 +127,7 @@ class Fig10Result:
         return rows
 
 
-def _scenario(config: Fig10Config, mode: DeploymentMode) -> ServerlessScenario:
+def _scenario(config: Fig10Config, mode: str) -> ServerlessScenario:
     # Cnn keeps a fixed warm pool (its instances see steady load and are
     # never recycled), so the only thing that can perturb it mid-run is
     # CPU interference on its pinned vCPUs — the effect under test.
@@ -165,7 +164,7 @@ def _scenario(config: Fig10Config, mode: DeploymentMode) -> ServerlessScenario:
 def _cell(config: Fig10Config, cell: Cell) -> Dict[str, object]:
     """One mode's co-location run, with spike factors computed in-cell."""
     run_result: ServerlessRun = run_scenario(
-        _scenario(config, DeploymentMode(cell["mode"]))
+        _scenario(config, cell["mode"])
     )
     series = per_second_average_ms(
         run_result.records_for("cnn"), config.duration_s
@@ -191,10 +190,7 @@ def _cell(config: Fig10Config, cell: Cell) -> Dict[str, object]:
 
 def _grid(config: Fig10Config) -> SweepGrid:
     del config
-    return SweepGrid("fig10").axis(
-        "mode",
-        (DeploymentMode.VANILLA.value, DeploymentMode.HOTMEM.value),
-    )
+    return SweepGrid("fig10").axis("mode", ("vanilla", "hotmem"))
 
 
 def run(config: Fig10Config = Fig10Config()) -> Fig10Result:

@@ -15,7 +15,6 @@ from repro.experiments.serverless import (
     ServerlessScenario,
     run_scenario,
 )
-from repro.faas.policy import DeploymentMode
 from repro.metrics.report import format_ratio, render_table
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sweep import Cell, SweepGrid, register_experiment, run_sweep
@@ -94,7 +93,7 @@ class Fig8Result:
 def _cell(config: Fig8Config, cell: Cell) -> Tuple[float, float]:
     """One (function, mode) trace replay in a fresh scenario."""
     scenario = ServerlessScenario(
-        mode=DeploymentMode(cell["mode"]),
+        mode=cell["mode"],
         loads=(FunctionLoad.for_function(cell["function"]),),
         duration_s=config.duration_s,
         keep_alive_s=config.keep_alive_s,
@@ -115,10 +114,7 @@ def _grid(config: Fig8Config) -> SweepGrid:
     return (
         SweepGrid("fig8")
         .axis("function", config.functions)
-        .axis(
-            "mode",
-            (DeploymentMode.VANILLA.value, DeploymentMode.HOTMEM.value),
-        )
+        .axis("mode", ("vanilla", "hotmem"))
     )
 
 

@@ -16,19 +16,15 @@ from repro.experiments.serverless import (
     ServerlessScenario,
     run_scenario,
 )
-from repro.faas.policy import DeploymentMode
 from repro.metrics.latency import p99_ms
 from repro.metrics.report import render_table
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sweep import Cell, SweepGrid, register_experiment, run_sweep
 
 __all__ = ["Fig9Config", "Fig9Result", "run", "MODES"]
 
-MODES = (
-    DeploymentMode.HOTMEM,
-    DeploymentMode.VANILLA,
-    DeploymentMode.OVERPROVISIONED,
-)
+MODES = (HOTMEM, VANILLA, OVERPROVISIONED)
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class Fig9Result:
         """P99(mode) / P99(overprovisioned): ≈1 means elasticity is free."""
         return (
             self.p99[function][mode]
-            / self.p99[function][DeploymentMode.OVERPROVISIONED.value]
+            / self.p99[function][OVERPROVISIONED.name]
         )
 
     def rows(self) -> List[List[object]]:
@@ -100,7 +96,7 @@ def _cell(config: Fig9Config, cell: Cell) -> Tuple[float, float, int]:
     """One (function, mode) trace replay in a fresh scenario."""
     fn = cell["function"]
     scenario = ServerlessScenario(
-        mode=DeploymentMode(cell["mode"]),
+        mode=cell["mode"],
         loads=(FunctionLoad.for_function(fn),),
         duration_s=config.duration_s,
         keep_alive_s=config.keep_alive_s,
@@ -122,7 +118,7 @@ def _grid(config: Fig9Config) -> SweepGrid:
     return (
         SweepGrid("fig9")
         .axis("function", config.functions)
-        .axis("mode", tuple(m.value for m in MODES))
+        .axis("mode", tuple(m.name for m in MODES))
     )
 
 

@@ -336,7 +336,7 @@ def _vm_spec(
         * MEMORY_BLOCK_SIZE
     )
     return VmSpec(
-        name=f"{mode.value}-vm{index}",
+        name=f"{mode.name}-vm{index}",
         mode=mode,
         partition_bytes=partition,
         concurrency=2 * config.instances_per_function,
@@ -440,12 +440,12 @@ def _run_cell(
         router.register(agent)
         agent.start_recycler(until_ns=horizon_ns)
 
-    stream = f"keepalive/{mode.value}/{policy}/{horizon_s}/{trace_shape}"
+    stream = f"keepalive/{mode.name}/{policy}/{horizon_s}/{trace_shape}"
     for trace in _traces(config, trace_shape, stream):
         router.drive(trace)
 
     labels = {
-        "mode": mode.value,
+        "mode": mode.name,
         "policy": policy,
         "horizon_s": horizon_s,
         "trace": trace_shape,
@@ -484,7 +484,7 @@ def _run_cell(
         max(collector.peak_used_bytes(h) for h in range(config.hosts))
     )
     return KeepAliveCell(
-        mode=mode.value,
+        mode=mode.name,
         policy=policy,
         horizon_s=horizon_s,
         trace=trace_shape,
@@ -521,7 +521,7 @@ def _cell(config: KeepAliveConfig, cell: Cell) -> KeepAliveCell:
 def _grid(config: KeepAliveConfig) -> SweepGrid:
     return (
         SweepGrid("keepalive")
-        .axis("mode", tuple(m.value for m in config.mode_objects()))
+        .axis("mode", tuple(m.name for m in config.mode_objects()))
         .axis("policy", config.policies)
         .axis("horizon_s", config.horizons_s)
         .axis("trace", config.traces)

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.cluster.provision import Fleet, VmSpec
 from repro.errors import ConfigError
-from repro.faas.policy import DeploymentMode
+from repro.modes import get_mode
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.engine import AllOf, Simulator, Timeout
 from repro.units import MEMORY_BLOCK_SIZE, MS, bytes_to_blocks, format_bytes
@@ -85,21 +85,17 @@ class MicrobenchRig:
 
     def __init__(self, setup: MicrobenchSetup):
         self.setup = setup
+        self.mode = get_mode(setup.mode)
+        hotmem = self.mode.uses_hotmem
         self.sim = Simulator()
         self.fleet = Fleet(self.sim)
         self.host = self.fleet.hosts[0]
         spec = VmSpec(
             name=f"microbench-{setup.mode}",
-            mode=(
-                DeploymentMode.HOTMEM
-                if setup.mode == "hotmem"
-                else DeploymentMode.VANILLA
-            ),
+            mode=self.mode,
             region_bytes=setup.total_bytes,
-            partition_bytes=(
-                setup.partition_bytes if setup.mode == "hotmem" else 0
-            ),
-            concurrency=setup.slots if setup.mode == "hotmem" else 0,
+            partition_bytes=setup.partition_bytes if hotmem else 0,
+            concurrency=setup.slots if hotmem else 0,
             shared_bytes=0,
             vcpus=setup.vcpus,
             placement=setup.placement,
@@ -131,7 +127,7 @@ class MicrobenchRig:
                 self.vm,
                 size,
                 vcpu_index=i % setup.vcpus,
-                use_hotmem=setup.mode == "hotmem",
+                use_hotmem=self.mode.uses_hotmem,
                 churn_fraction=setup.churn_fraction,
                 name=f"memhog-{i}",
             )

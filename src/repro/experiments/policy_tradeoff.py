@@ -28,7 +28,6 @@ from repro.experiments.serverless import (
     ServerlessScenario,
     run_scenario,
 )
-from repro.faas.policy import DeploymentMode
 from repro.metrics.latency import percentile
 from repro.metrics.report import render_table
 from repro.sim.costs import DEFAULT_COSTS, CostModel
@@ -145,7 +144,7 @@ def _cell(config: PolicyConfig, cell: Cell) -> Tuple[int, float, float, float]:
     )
     run = run_scenario(
         ServerlessScenario(
-            mode=DeploymentMode(cell["mode"]),
+            mode=cell["mode"],
             loads=(load,),
             duration_s=config.duration_s,
             keep_alive_s=config.keep_alive_s,
@@ -171,19 +170,19 @@ def _cell(config: PolicyConfig, cell: Cell) -> Tuple[int, float, float, float]:
 def _variant_rows(config: PolicyConfig) -> List[Dict[str, object]]:
     """Explicit (ragged) rows: the variant labels drive the grid."""
     rows: List[Dict[str, object]] = [
-        {"mode": DeploymentMode.HOTMEM.value, "spare": k, "slow": False,
+        {"mode": "hotmem", "spare": k, "slow": False,
          "label": f"spare={k}"}
         for k in config.spare_slots
     ]
     if config.slow_plug_factor:
         rows.extend(
-            {"mode": DeploymentMode.HOTMEM.value, "spare": k, "slow": True,
+            {"mode": "hotmem", "spare": k, "slow": True,
              "label": f"slow-plug spare={k}"}
             for k in config.spare_slots
         )
     if config.include_overprovisioned:
         rows.append(
-            {"mode": DeploymentMode.OVERPROVISIONED.value, "spare": 0,
+            {"mode": "overprovisioned", "spare": 0,
              "slow": False, "label": "overprovisioned"}
         )
     return rows

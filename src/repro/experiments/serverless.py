@@ -140,7 +140,7 @@ class ServerlessScenario:
     def vm_spec(self, name: Optional[str] = None) -> VmSpec:
         """The provisioning spec for this scenario's VM."""
         return VmSpec(
-            name=name if name is not None else f"vm-{self.mode.value}",
+            name=name if name is not None else f"vm-{self.mode.name}",
             mode=self.mode,
             partition_bytes=self.partition_bytes,
             concurrency=self.concurrency,

@@ -21,10 +21,11 @@ from typing import Dict, List, Tuple
 
 from repro.cluster.provision import Fleet, VmSpec
 from repro.faas.agent import FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.faas.runtime import FaasRuntime
 from repro.metrics.collector import PeriodicSampler
 from repro.metrics.report import render_table
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA, DeploymentBackend, get_mode
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.engine import Simulator
 from repro.sweep import Cell, SweepGrid, register_experiment, run_sweep
@@ -34,11 +35,7 @@ from repro.workloads.functions import get_function
 
 __all__ = ["StrandingConfig", "StrandingResult", "run"]
 
-MODES = (
-    DeploymentMode.OVERPROVISIONED,
-    DeploymentMode.VANILLA,
-    DeploymentMode.HOTMEM,
-)
+MODES = (OVERPROVISIONED, VANILLA, HOTMEM)
 
 
 @dataclass(frozen=True)
@@ -74,13 +71,13 @@ class StrandingResult:
 
     def savings_vs_overprovisioned(self, mode: str) -> float:
         """Fraction of host memory freed relative to static provisioning."""
-        over = self.avg_gib[DeploymentMode.OVERPROVISIONED.value]
+        over = self.avg_gib[OVERPROVISIONED.name]
         return 1.0 - self.avg_gib[mode] / over
 
     def rows(self) -> List[List[object]]:
         out: List[List[object]] = []
         for mode in MODES:
-            key = mode.value
+            key = mode.name
             out.append(
                 [
                     key,
@@ -100,7 +97,9 @@ class StrandingResult:
         )
 
 
-def _run_mode(config: StrandingConfig, mode: DeploymentMode) -> List[Tuple[int, float]]:
+def _run_mode(
+    config: StrandingConfig, mode: DeploymentBackend
+) -> List[Tuple[int, float]]:
     sim = Simulator()
     fleet = Fleet(sim)
     node = fleet.hosts[0].node(0)
@@ -145,7 +144,7 @@ def _run_mode(config: StrandingConfig, mode: DeploymentMode) -> List[Tuple[int, 
         sim,
         lambda: node.used_bytes,
         period_ns=config.sample_period_s * SEC,
-        name=f"host-used-{mode.value}",
+        name=f"host-used-{mode.name}",
     )
     sampler.start(until_ns=horizon_ns)
     runtime.run(until_ns=horizon_ns)
@@ -153,13 +152,13 @@ def _run_mode(config: StrandingConfig, mode: DeploymentMode) -> List[Tuple[int, 
 
 
 def _cell(config: StrandingConfig, cell: Cell) -> List[Tuple[int, float]]:
-    return _run_mode(config, DeploymentMode(cell["mode"]))
+    return _run_mode(config, get_mode(cell["mode"]))
 
 
 def _grid(config: StrandingConfig) -> SweepGrid:
     del config
     return SweepGrid("stranding").axis(
-        "mode", tuple(m.value for m in MODES)
+        "mode", tuple(m.name for m in MODES)
     )
 
 

@@ -18,10 +18,11 @@ from typing import Dict, List, Tuple
 
 from repro.cluster.provision import Fleet, VmSpec
 from repro.faas.agent import FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.faas.runtime import FaasRuntime
 from repro.metrics.collector import PeriodicSampler
 from repro.metrics.report import render_table
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA, DeploymentBackend, get_mode
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.engine import Simulator
 from repro.sweep import Cell, SweepGrid, register_experiment, run_sweep
@@ -31,11 +32,7 @@ from repro.workloads.functions import get_function
 
 __all__ = ["TrackingConfig", "TrackingResult", "run"]
 
-MODES = (
-    DeploymentMode.HOTMEM,
-    DeploymentMode.VANILLA,
-    DeploymentMode.OVERPROVISIONED,
-)
+MODES = (HOTMEM, VANILLA, OVERPROVISIONED)
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,7 @@ class TrackingResult:
     def rows(self) -> List[List[object]]:
         out: List[List[object]] = []
         for mode in MODES:
-            key = mode.value
+            key = mode.name
             out.append(
                 [
                     key,
@@ -98,14 +95,14 @@ class TrackingResult:
         )
 
 
-def _run_mode(config: TrackingConfig, mode: DeploymentMode):
+def _run_mode(config: TrackingConfig, mode: DeploymentBackend):
     sim = Simulator()
     fleet = Fleet(sim)
     spec = get_function(config.function)
     instances = spec.max_instances_for(10)
     handle = fleet.provision(
         VmSpec.for_function(
-            f"track-{mode.value}",
+            f"track-{mode.name}",
             mode,
             spec.memory_limit_bytes,
             concurrency=instances,
@@ -150,13 +147,13 @@ def _run_mode(config: TrackingConfig, mode: DeploymentMode):
 
 
 def _cell(config: TrackingConfig, cell: Cell):
-    return _run_mode(config, DeploymentMode(cell["mode"]))
+    return _run_mode(config, get_mode(cell["mode"]))
 
 
 def _grid(config: TrackingConfig) -> SweepGrid:
     del config
     return SweepGrid("tracking").axis(
-        "mode", tuple(m.value for m in MODES)
+        "mode", tuple(m.name for m in MODES)
     )
 
 

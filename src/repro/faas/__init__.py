@@ -16,7 +16,7 @@ from repro.faas.lifecycle import (
     register_policy,
     registered_policies,
 )
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.faas.records import EvictionRecord, InvocationRecord
 from repro.faas.runtime import FaasRuntime
 
@@ -29,7 +29,6 @@ __all__ = [
     "ContainerStats",
     "EvictionPolicy",
     "EvictionRecord",
-    "DeploymentMode",
     "KeepAlivePolicy",
     "InvocationRecord",
     "FaasRuntime",

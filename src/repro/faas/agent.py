@@ -38,7 +38,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.errors import ConfigError, FaasError, OutOfMemory, SpawnFailed
 from repro.faas.container import Container
 from repro.faas.lifecycle import ContainerStats, get_policy
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.faas.records import EvictionRecord, InvocationRecord
 from repro.faults.injector import InjectedFault
 from repro.faults.policy import NO_RESILIENCE, ResiliencePolicy
@@ -48,7 +48,7 @@ from repro.faults.sites import (
     AGENT_SPAWN_OOM,
 )
 from repro.mm.pagecache import CachedFile
-from repro.modes import get_mode
+from repro.modes import DeploymentBackend, get_mode
 from repro.obs.span import NULL_SPAN, SpanLike
 from repro.sim.engine import Event, Process, Simulator, Timeout
 from repro.units import MEMORY_BLOCK_SIZE, bytes_to_blocks, bytes_to_pages
@@ -142,7 +142,7 @@ class Agent:
         vm: VirtualMachine,
         deployments: List[FunctionDeployment],
         policy: KeepAlivePolicy,
-        mode: DeploymentMode,
+        mode: DeploymentBackend,
         resilience: Optional[ResiliencePolicy] = None,
     ):
         mode = get_mode(mode)

@@ -1,8 +1,6 @@
-"""Scaling policy knobs plus the deployment-mode re-export.
+"""Scaling policy knobs for the serverless runtime.
 
-``DeploymentMode`` lives in :mod:`repro.modes` now (a thin alias over
-the string-keyed backend registry); it is re-exported here because the
-serverless layer is where most callers historically imported it from.
+Deployment modes live in :mod:`repro.modes`.
 """
 
 from __future__ import annotations
@@ -10,10 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.modes import DeploymentMode
 from repro.units import SEC
 
-__all__ = ["KeepAlivePolicy", "DeploymentMode"]
+__all__ = ["KeepAlivePolicy"]
 
 
 @dataclass(frozen=True)

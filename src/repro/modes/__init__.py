@@ -5,7 +5,7 @@ evaluated configurations plus the related-work baselines of Section 7 —
 is a :class:`~repro.modes.base.DeploymentBackend` registered by name.
 ``VmSpec``/``Fleet`` provisioning, the agent's plug/unplug + resilience
 path, the density arbiter and every experiment resolve modes through
-:func:`get`, so a newly registered mode is immediately sweepable
+:func:`get_mode`, so a newly registered mode is immediately sweepable
 everywhere (``--modes`` on the CLI).  See ``docs/modes.md``.
 """
 
@@ -18,14 +18,19 @@ from repro.modes.builtin import (
     OverprovisionedMode,
     VanillaMode,
 )
-from repro.modes.compat import DeploymentMode
 from repro.modes.datapaths import (
     BalloonDatapath,
     DimmDatapath,
     FprDatapath,
     VirtioMemDatapath,
 )
-from repro.modes.registry import get, names, register, registered, resolve_modes
+from repro.modes.registry import (
+    get_mode,
+    names,
+    register_mode,
+    registered_modes,
+    resolve_modes,
+)
 from repro.modes.related import (
     BALLOON,
     DIMM,
@@ -35,27 +40,16 @@ from repro.modes.related import (
     FprMode,
 )
 
-# Aliases for the package-qualified spelling used from ``repro``:
-# ``repro.get_mode("balloon")`` reads better than a bare ``get``.
-get_mode = get
-register_mode = register
-registered_modes = registered
-
 __all__ = [
     # interface
     "DeploymentBackend",
     "ReclaimDatapath",
     # registry
-    "register",
     "register_mode",
-    "get",
     "get_mode",
     "names",
-    "registered",
     "registered_modes",
     "resolve_modes",
-    # compat alias
-    "DeploymentMode",
     # datapaths
     "VirtioMemDatapath",
     "BalloonDatapath",

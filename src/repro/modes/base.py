@@ -1,13 +1,13 @@
 """The deployment-backend strategy interface.
 
-A *deployment mode* bundles every policy decision that used to be
-scattered across ``is DeploymentMode.X`` branches: whether the runtime
-resizes the VM at all, which reclamation datapath the VM gets, how much
-reclaimable memory the density arbiter may credit at admission, which
-fault-injection sites apply, and which CPU-accounting labels the
-datapath charges.  Modes are plain singletons registered by name in
-:mod:`repro.modes.registry`; everything else in the repo handles them
-uniformly through this interface.
+A *deployment mode* bundles every policy decision that depends on how
+a VM is deployed: whether the runtime resizes the VM at all, which
+reclamation datapath the VM gets, how much reclaimable memory the
+density arbiter may credit at admission, which fault-injection sites
+apply, and which CPU-accounting labels the datapath charges.  Modes are
+plain singletons registered by name in :mod:`repro.modes.registry`;
+everything else in the repo handles them uniformly through this
+interface.
 
 Two objects cooperate per VM:
 
@@ -97,7 +97,7 @@ class DeploymentBackend:
     :mod:`repro.modes.related` for the six built-ins.
     """
 
-    #: Registry key, report string, and legacy ``.value``.
+    #: Registry key and report string (``str(mode)`` returns it).
     name: str = "abstract"
     #: Whether the runtime issues plug/unplug requests in this mode.
     elastic: bool = True
@@ -121,14 +121,6 @@ class DeploymentBackend:
     #: One-line description of how (or why not) this mode reclaims —
     #: the contract test requires it for non-elastic modes.
     reclaim_semantics: str = ""
-
-    # ------------------------------------------------------------------
-    # Legacy enum-ish surface (DeploymentMode compatibility)
-    # ------------------------------------------------------------------
-    @property
-    def value(self) -> str:
-        """The mode's registry key (mirrors ``enum.Enum.value``)."""
-        return self.name
 
     def __str__(self) -> str:
         return self.name

@@ -1,10 +1,10 @@
 """The three original deployment modes (Section 5.5 / Figure 9).
 
-Ported from the ``DeploymentMode`` enum onto the backend interface with
-byte-identical behaviour: the datapath is the VM's own virtio-mem
-device, the admission credits are the 0 / 0.25 / 0.75 values that used
-to live in ``DensityArbiter``, and the overprovisioned mode's
-plug-everything-at-boot branch became its :meth:`prepare_vm` hook.
+All three use the VM's own virtio-mem device as their datapath.  Their
+admission credits are 0 / 0.25 / 0.75, and the overprovisioned mode
+plugs its whole region at boot in its :meth:`prepare_vm` hook.  Callers
+name them by these constants or through
+:func:`~repro.modes.registry.get_mode`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.errors import ConfigError
 from repro.faults.sites import DATAPATH_SITES
 from repro.modes.base import DeploymentBackend
 from repro.modes.datapaths import VirtioMemDatapath
-from repro.modes.registry import register
+from repro.modes.registry import register_mode
 from repro.units import MEMORY_BLOCK_SIZE
 from repro.virtio.driver import VIRTIO_MEM_LABEL
 
@@ -108,6 +108,6 @@ class OverprovisionedMode(DeploymentBackend):
         vm.plug_all_at_boot()
 
 
-HOTMEM = register(HotMemMode())
-VANILLA = register(VanillaMode())
-OVERPROVISIONED = register(OverprovisionedMode())
+HOTMEM = register_mode(HotMemMode())
+VANILLA = register_mode(VanillaMode())
+OVERPROVISIONED = register_mode(OverprovisionedMode())

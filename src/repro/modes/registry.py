@@ -2,7 +2,7 @@
 
 Modes register one singleton each under a unique lowercase name;
 everything that accepts a mode — ``VmSpec``, ``Agent``, experiment
-configs, the ``--modes`` CLI flag — resolves it through :func:`get`,
+configs, the ``--modes`` CLI flag — resolves it through :func:`get_mode`,
 which passes already-resolved backends straight through.  Registering a
 custom mode makes it sweepable everywhere with no further wiring (see
 ``docs/modes.md``).
@@ -15,12 +15,12 @@ from typing import Dict, Iterable, Tuple, Union
 from repro.errors import ConfigError
 from repro.modes.base import DeploymentBackend
 
-__all__ = ["register", "get", "names", "registered", "resolve_modes"]
+__all__ = ["register_mode", "get_mode", "names", "registered_modes", "resolve_modes"]
 
 _REGISTRY: Dict[str, DeploymentBackend] = {}
 
 
-def register(mode: DeploymentBackend, replace: bool = False) -> DeploymentBackend:
+def register_mode(mode: DeploymentBackend, replace: bool = False) -> DeploymentBackend:
     """Register a mode singleton under ``mode.name``.
 
     Validates the declarative contract every consumer relies on; pass
@@ -43,7 +43,7 @@ def register(mode: DeploymentBackend, replace: bool = False) -> DeploymentBacken
     return mode
 
 
-def get(mode: Union[str, DeploymentBackend]) -> DeploymentBackend:
+def get_mode(mode: Union[str, DeploymentBackend]) -> DeploymentBackend:
     """Resolve a mode by name; backend instances pass through."""
     if isinstance(mode, DeploymentBackend):
         return mode
@@ -60,7 +60,7 @@ def names() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def registered() -> Tuple[DeploymentBackend, ...]:
+def registered_modes() -> Tuple[DeploymentBackend, ...]:
     """Registered mode singletons, in registration order."""
     return tuple(_REGISTRY.values())
 
@@ -69,7 +69,7 @@ def resolve_modes(
     modes: Iterable[Union[str, DeploymentBackend]],
 ) -> Tuple[DeploymentBackend, ...]:
     """Resolve a sweep list (config field or ``--modes`` flag)."""
-    resolved = tuple(get(mode) for mode in modes)
+    resolved = tuple(get_mode(mode) for mode in modes)
     if not resolved:
         raise ConfigError("empty mode list")
     return resolved

@@ -33,7 +33,7 @@ from repro.baselines.dimm import DEFAULT_DIMM_BYTES, DIMM_LABEL, DimmHotplug
 from repro.baselines.fpr import FPR_LABEL, FreePageReporting
 from repro.modes.base import DeploymentBackend
 from repro.modes.datapaths import BalloonDatapath, DimmDatapath, FprDatapath
-from repro.modes.registry import register
+from repro.modes.registry import register_mode
 from repro.units import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -131,6 +131,6 @@ class FprMode(DeploymentBackend):
         vm.datapath.start()
 
 
-BALLOON = register(BalloonMode())
-DIMM = register(DimmMode())
-FPR = register(FprMode())
+BALLOON = register_mode(BalloonMode())
+DIMM = register_mode(DimmMode())
+FPR = register_mode(FprMode())

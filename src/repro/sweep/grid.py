@@ -208,11 +208,12 @@ class SweepGrid:
 def canonical(value: Any) -> Any:
     """A JSON-encodable canonical form of an experiment payload.
 
-    Dataclasses become dicts, mode backends and enums collapse to their
-    ``.value``, dict keys are stringified, and floats keep full ``repr``
-    precision — so two payloads are equal iff their canonical forms are,
-    regardless of which process produced them (unpickled backend copies
-    and registry singletons canonicalise identically).
+    Dataclasses become dicts, enums collapse to their ``.value``, mode
+    backends to their name (through ``str()``), dict keys are
+    stringified, and floats keep full ``repr`` precision — so two
+    payloads are equal iff their canonical forms are, regardless of which
+    process produced them (unpickled backend copies and registry
+    singletons canonicalise identically).
     """
     if isinstance(value, (str, int, bool)) or value is None:
         return value

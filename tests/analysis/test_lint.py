@@ -67,6 +67,11 @@ class TestNoWallclock:
         src = "import datetime\nt = datetime.datetime.now()\n"
         assert findings(src, "repro.workloads.azure2", "no-wallclock")
 
+    def test_aliased_datetime_module_flagged_once(self):
+        src = "import datetime as dt\nt = dt.datetime.now()\n"
+        errors = findings(src, "repro.sim.engine2", "no-wallclock")
+        assert [e.line for e in errors] == [2]
+
     def test_engine_clock_unflagged(self):
         src = "def f(sim):\n    return sim.now\n"
         assert not findings(src, "repro.sim.engine2", "no-wallclock")
@@ -109,6 +114,13 @@ class TestMmEncapsulation:
     def test_augassign_flagged(self):
         src = "def f(block):\n    block.free_pages += 7\n"
         assert findings(src, "repro.virtio.foo", "mm-encapsulation")
+
+    def test_chained_assignment_flags_every_target(self):
+        src = "def f(a, b):\n    a.free_pages = b.owner_pages = 0\n"
+        errors = findings(src, "repro.experiments.foo", "mm-encapsulation")
+        assert len(errors) == 2
+        assert ".free_pages" in errors[0].message
+        assert ".owner_pages" in errors[1].message
 
     def test_subscript_write_flagged(self):
         src = "def f(block, owner):\n    block.owner_pages[owner] = 3\n"
@@ -197,69 +209,6 @@ class TestNoBareExcept:
             "    pass\n"
         )
         assert not findings(src, "repro.faas.foo", "no-bare-except")
-
-
-class TestNoModeBranching:
-    def test_identity_comparison_flagged(self):
-        src = "def f(mode):\n    return mode is DeploymentMode.HOTMEM\n"
-        errors = findings(src, "repro.faas.agent", "no-mode-branching")
-        assert len(errors) == 1
-        assert errors[0].line == 2
-        assert "DeploymentBackend hook" in errors[0].message
-
-    def test_equality_and_negations_flagged(self):
-        src = (
-            "def f(mode):\n"
-            "    a = mode == DeploymentMode.VANILLA\n"
-            "    b = mode != DeploymentMode.HOTMEM\n"
-            "    c = mode is not DeploymentMode.OVERPROVISIONED\n"
-            "    return a or b or c\n"
-        )
-        errors = findings(src, "repro.cluster.admission", "no-mode-branching")
-        assert [e.line for e in errors] == [2, 3, 4]
-
-    def test_membership_in_tuple_flagged(self):
-        src = (
-            "def f(mode):\n"
-            "    return mode in (DeploymentMode.HOTMEM, DeploymentMode.VANILLA)\n"
-        )
-        assert findings(src, "repro.experiments.density", "no-mode-branching")
-
-    def test_qualified_access_flagged(self):
-        src = (
-            "import repro.modes\n"
-            "def f(mode):\n"
-            "    return mode is repro.modes.DeploymentMode.HOTMEM\n"
-        )
-        assert findings(src, "repro.faas.policy", "no-mode-branching")
-
-    def test_attribute_access_without_comparison_unflagged(self):
-        # Reading members (iteration tuples, defaults) is fine; only
-        # branching on identity/equality/membership re-scatters the
-        # special-casing the registry centralises.
-        src = (
-            "MODES = (DeploymentMode.VANILLA, DeploymentMode.HOTMEM)\n"
-            "def f(spec):\n"
-            "    spec.mode = DeploymentMode.HOTMEM\n"
-        )
-        assert not findings(src, "repro.experiments.fig8", "no-mode-branching")
-
-    def test_modes_package_exempt(self):
-        src = "def f(mode):\n    return mode is DeploymentMode.HOTMEM\n"
-        assert not findings(src, "repro.modes.compat", "no-mode-branching")
-        assert not findings(src, "repro.modes", "no-mode-branching")
-
-    def test_out_of_scope_module_unflagged(self):
-        src = "def f(mode):\n    return mode is DeploymentMode.HOTMEM\n"
-        assert not findings(src, "tools.lint", "no-mode-branching")
-
-    def test_allow_comment_silences(self):
-        src = (
-            "def f(mode):\n"
-            "    return mode is DeploymentMode.HOTMEM"
-            "  # lint: allow[no-mode-branching] compat shim\n"
-        )
-        assert not findings(src, "repro.faas.agent", "no-mode-branching")
 
 
 class TestNoPrintInSrc:
@@ -451,7 +400,6 @@ class TestDriversAndOutput:
             "mm-encapsulation",
             "module-all-required",
             "no-bare-except",
-            "no-mode-branching",
             "no-print-in-src",
             "no-adhoc-sweep",
             "no-direct-evict",
@@ -671,6 +619,11 @@ class TestNoDirectEvict:
     def test_idle_pool_mutator_flagged(self):
         src = "def f(state, c):\n    state.idle.append(c)\n"
         assert findings(src, "repro.experiments.foo", "no-direct-evict")
+
+    def test_subscripted_idle_pool_mutator_flagged(self):
+        src = "def f(state, fn, c):\n    state.idle[fn].append(c)\n"
+        errors = findings(src, "repro.cluster.provision", "no-direct-evict")
+        assert len(errors) == 1
 
     def test_idle_subscript_delete_flagged(self):
         src = "def f(state):\n    del state.idle[0]\n"

@@ -9,7 +9,7 @@ from repro.cluster.admission import (
 )
 from repro.cluster.provision import Fleet, VmSpec
 from repro.errors import AdmissionRejected, ConfigError
-from repro.faas.policy import DeploymentMode
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 from repro.sim import Simulator
 from repro.units import GIB, MIB
 
@@ -36,27 +36,27 @@ class TestCommitment:
         )
 
     def test_overprovisioned_pays_full_footprint(self):
-        assert self.commit(DeploymentMode.OVERPROVISIONED) == (
+        assert self.commit(OVERPROVISIONED) == (
             self.BOOT + self.REGION
         )
 
     def test_vanilla_discounts_a_quarter_of_the_elastic_region(self):
         elastic = self.REGION - self.SHARED
-        assert self.commit(DeploymentMode.VANILLA) == (
+        assert self.commit(VANILLA) == (
             self.BOOT + self.REGION - int(0.25 * elastic)
         )
 
     def test_hotmem_discounts_three_quarters(self):
         elastic = self.REGION - self.SHARED
-        assert self.commit(DeploymentMode.HOTMEM) == (
+        assert self.commit(HOTMEM) == (
             self.BOOT + self.REGION - int(0.75 * elastic)
         )
 
     def test_mode_ordering(self):
         assert (
-            self.commit(DeploymentMode.HOTMEM)
-            < self.commit(DeploymentMode.VANILLA)
-            < self.commit(DeploymentMode.OVERPROVISIONED)
+            self.commit(HOTMEM)
+            < self.commit(VANILLA)
+            < self.commit(OVERPROVISIONED)
         )
 
 

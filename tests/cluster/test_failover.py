@@ -13,11 +13,12 @@ from repro.cluster.provision import Fleet, VmSpec
 from repro.cluster.routing import TraceRouter
 from repro.errors import ConfigError
 from repro.faas.agent import FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.faults.domains import domain_plan
 from repro.faults.injector import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.policy import RetryBudget
 from repro.faults.sites import HOST_CRASH, VM_OOM_KILL
+from repro.modes import VANILLA
 from repro.units import MS, SEC
 from repro.workloads.functions import get_function
 from repro.workloads.traces import InvocationTrace
@@ -28,7 +29,7 @@ def deploy_vm(fleet, name, function="html", max_instances=2):
     handle = fleet.provision(
         VmSpec.for_function(
             name,
-            DeploymentMode.VANILLA,
+            VANILLA,
             spec.memory_limit_bytes,
             concurrency=max_instances,
         )

@@ -5,7 +5,8 @@ import pytest
 from repro.cluster.provision import Fleet, VmSpec, provision_vm
 from repro.errors import ClusterError, ConfigError
 from repro.faas.agent import FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 from repro.sim import Simulator
 from repro.units import GIB, MIB, SEC
 from repro.workloads.functions import get_function
@@ -41,14 +42,14 @@ class TestProvisioning:
     def test_overprovisioned_fully_plugged_at_boot(self, fleet):
         handle = fleet.provision(
             VmSpec(
-                "op", mode=DeploymentMode.OVERPROVISIONED, region_bytes=GIB
+                "op", mode=OVERPROVISIONED, region_bytes=GIB
             )
         )
         assert handle.vm.device.plugged_bytes == GIB
 
     def test_hotmem_spec_requires_geometry(self):
         with pytest.raises(ConfigError):
-            VmSpec("bad", mode=DeploymentMode.HOTMEM, region_bytes=GIB)
+            VmSpec("bad", mode=HOTMEM, region_bytes=GIB)
 
     def test_fleet_context_wired_for_sanitizer(self, fleet):
         handle = fleet.provision(VmSpec("vm", region_bytes=GIB))
@@ -80,7 +81,7 @@ class TestDeploy:
         spec = get_function("html")
         handle = fleet.provision(
             VmSpec.for_function(
-                "vm", DeploymentMode.VANILLA, spec.memory_limit_bytes,
+                "vm", VANILLA, spec.memory_limit_bytes,
                 concurrency=2,
             )
         )
@@ -111,7 +112,7 @@ class TestPressureMonitor:
         handle = fleet.provision(
             VmSpec.for_function(
                 "vm",
-                DeploymentMode.HOTMEM,
+                HOTMEM,
                 spec.memory_limit_bytes,
                 concurrency=2,
                 boot_memory_bytes=256 * MIB,

@@ -6,7 +6,8 @@ from repro.cluster.provision import VmSpec
 from repro.cluster.routing import TraceRouter, get_routing_policy
 from repro.errors import ClusterError, ConfigError
 from repro.faas.agent import FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
+from repro.modes import VANILLA
 from repro.units import SEC
 from repro.workloads.functions import get_function
 from repro.workloads.traces import InvocationTrace
@@ -17,7 +18,7 @@ def deploy_vm(fleet, name, function="html", max_instances=2):
     handle = fleet.provision(
         VmSpec.for_function(
             name,
-            DeploymentMode.VANILLA,
+            VANILLA,
             spec.memory_limit_bytes,
             concurrency=max_instances,
         )

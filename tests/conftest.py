@@ -13,8 +13,8 @@ import pytest
 
 from repro.cluster.provision import Fleet, VmSpec
 from repro.core import HotMemBootParams
-from repro.faas.policy import DeploymentMode
 from repro.host import HostMachine
+from repro.modes import HOTMEM
 from repro.sim import CostModel, Simulator
 from repro.units import GIB, MIB
 from repro.vmm import VirtualMachine
@@ -90,7 +90,7 @@ def hotmem_vm(fleet, hotmem_params) -> VirtualMachine:
     return fleet.provision(
         VmSpec(
             "hotmem-test",
-            mode=DeploymentMode.HOTMEM,
+            mode=HOTMEM,
             partition_bytes=hotmem_params.partition_bytes,
             concurrency=hotmem_params.concurrency,
             shared_bytes=hotmem_params.shared_bytes,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.provision import VmSpec
-from repro.faas.policy import DeploymentMode
+from repro.modes import HOTMEM
 from repro.units import MIB
 
 
@@ -12,7 +12,7 @@ def vm(fleet):
     return fleet.provision(
         VmSpec(
             "batched",
-            mode=DeploymentMode.HOTMEM,
+            mode=HOTMEM,
             partition_bytes=384 * MIB,
             concurrency=4,
             batch_unplug=True,

@@ -9,12 +9,12 @@ from repro.experiments.serverless import (
     ServerlessScenario,
     run_scenario,
 )
-from repro.faas.policy import DeploymentMode
+from repro.modes import HOTMEM
 
 
 CONFIG = chaos.ChaosConfig(
     fault_rates=(0.0, 0.2),
-    modes=(DeploymentMode.HOTMEM,),
+    modes=(HOTMEM,),
     duration_s=10,
     keep_alive_s=4,
     recycle_interval_s=2,
@@ -44,7 +44,7 @@ def test_control_row_matches_fault_free_harness(result):
     assert not control.static_fallback
     plain = run_scenario(
         ServerlessScenario(
-            mode=DeploymentMode.HOTMEM,
+            mode=HOTMEM,
             loads=(FunctionLoad.for_function(CONFIG.function),),
             duration_s=CONFIG.duration_s,
             keep_alive_s=CONFIG.keep_alive_s,

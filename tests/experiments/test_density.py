@@ -8,7 +8,7 @@ from repro.experiments.density import (
     _run_cell,
     run,
 )
-from repro.faas.policy import DeploymentMode
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 
 #: Scaled-down sweep: one burst window per function, short drain.
 FAST = DensityConfig(
@@ -25,12 +25,12 @@ class TestAdmissionProbe:
     def test_mode_caps_are_ordered(self):
         caps = {
             mode: _probe_admission(FAST, mode)[0]
-            for mode in DeploymentMode
+            for mode in (HOTMEM, VANILLA, OVERPROVISIONED)
         }
         assert (
-            caps[DeploymentMode.HOTMEM]
-            >= caps[DeploymentMode.VANILLA]
-            >= caps[DeploymentMode.OVERPROVISIONED]
+            caps[HOTMEM]
+            >= caps[VANILLA]
+            >= caps[OVERPROVISIONED]
             >= 1
         )
 
@@ -38,7 +38,7 @@ class TestAdmissionProbe:
         from dataclasses import replace
 
         roomy = replace(FAST, max_vms_per_host=8)
-        cap, rejection = _probe_admission(roomy, DeploymentMode.OVERPROVISIONED)
+        cap, rejection = _probe_admission(roomy, OVERPROVISIONED)
         assert cap < roomy.max_vms_per_host
         assert rejection is not None and rejection.reason == "saturated"
 
@@ -46,7 +46,7 @@ class TestAdmissionProbe:
 class TestCell:
     def test_cell_is_deterministic(self):
         runs = [
-            _run_cell(FAST, DeploymentMode.HOTMEM, 2) for _ in range(2)
+            _run_cell(FAST, HOTMEM, 2) for _ in range(2)
         ]
         first, second = runs
         assert first.invocations == second.invocations
@@ -55,7 +55,7 @@ class TestCell:
         assert first.peak_used_bytes == second.peak_used_bytes
 
     def test_cell_collects_per_vm_records(self):
-        cell = _run_cell(FAST, DeploymentMode.VANILLA, 1)
+        cell = _run_cell(FAST, VANILLA, 1)
         assert len(cell.per_vm_records) == FAST.hosts
         assert cell.invocations > 0
         assert cell.peak_used_bytes > 0
@@ -66,6 +66,6 @@ class TestSweep:
     def test_density_ordering_holds(self):
         result = run(FAST)
         assert result.ordering_holds()
-        assert result.density(DeploymentMode.HOTMEM) >= 1
+        assert result.density(HOTMEM) >= 1
         rendered = result.render()
         assert "hotmem" in rendered and "VIOLATED" not in rendered

@@ -24,7 +24,7 @@ from repro.experiments.serverless import (
     ServerlessScenario,
     run_scenario,
 )
-from repro.faas.policy import DeploymentMode
+from repro.modes import get_mode
 
 pytestmark = pytest.mark.slow
 
@@ -59,7 +59,7 @@ def _record_line(record):
 def serverless_digest(mode_name: str) -> str:
     """Canonical digest of one fixed-seed serverless run."""
     scenario = ServerlessScenario(
-        mode=DeploymentMode(mode_name),
+        mode=get_mode(mode_name),
         loads=(FunctionLoad.for_function("html", vm_vcpus=4),),
         duration_s=20,
         drain_s=10,
@@ -99,7 +99,7 @@ def density_digest(mode_name: str) -> str:
         drain_s=6,
         seed=3,
     )
-    cell = _run_cell(config, DeploymentMode(mode_name), 2)
+    cell = _run_cell(config, get_mode(mode_name), 2)
     lines = [f"density {mode_name} {cell.vms_per_host} {cell.total_vms}"]
     for name in sorted(cell.per_vm_records):
         lines += [

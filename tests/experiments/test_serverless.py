@@ -7,7 +7,7 @@ from repro.experiments.serverless import (
     ServerlessScenario,
     run_scenario,
 )
-from repro.faas.policy import DeploymentMode
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 from repro.units import MEMORY_BLOCK_SIZE, MIB
 
 
@@ -27,7 +27,7 @@ def small_scenario(mode, **overrides):
 class TestScenarioDerivation:
     def test_partition_bytes_is_max_limit_rounded(self):
         scenario = ServerlessScenario(
-            mode=DeploymentMode.HOTMEM,
+            mode=HOTMEM,
             loads=(
                 FunctionLoad.for_function("cnn", max_instances=2),
                 FunctionLoad.for_function("bert", max_instances=2),
@@ -37,7 +37,7 @@ class TestScenarioDerivation:
 
     def test_concurrency_sums_loads(self):
         scenario = ServerlessScenario(
-            mode=DeploymentMode.HOTMEM,
+            mode=HOTMEM,
             loads=(
                 FunctionLoad.for_function("cnn", max_instances=4),
                 FunctionLoad.for_function("html", max_instances=40),
@@ -46,7 +46,7 @@ class TestScenarioDerivation:
         assert scenario.concurrency == 44
 
     def test_shared_bytes_block_aligned(self):
-        scenario = small_scenario(DeploymentMode.HOTMEM)
+        scenario = small_scenario(HOTMEM)
         assert scenario.shared_bytes % MEMORY_BLOCK_SIZE == 0
 
     def test_table1_defaults_applied(self):
@@ -56,7 +56,7 @@ class TestScenarioDerivation:
 
 @pytest.mark.parametrize(
     "mode",
-    [DeploymentMode.HOTMEM, DeploymentMode.VANILLA, DeploymentMode.OVERPROVISIONED],
+    [HOTMEM, VANILLA, OVERPROVISIONED],
 )
 class TestRunScenario:
     def test_all_requests_served(self, mode):
@@ -68,7 +68,7 @@ class TestRunScenario:
     def test_scaling_behaviour_per_mode(self, mode):
         run = run_scenario(small_scenario(mode))
         plugs = [e for e in run.resize_events if e.kind == "plug"]
-        if mode is DeploymentMode.OVERPROVISIONED:
+        if mode is OVERPROVISIONED:
             assert plugs == []
             assert run.shrink_events == [] or all(
                 e.unplug_requested_bytes == 0 for e in run.shrink_events
@@ -82,13 +82,13 @@ class TestCrossModeComparability:
     def test_same_trace_same_arrival_count(self):
         runs = {
             mode: run_scenario(small_scenario(mode))
-            for mode in (DeploymentMode.HOTMEM, DeploymentMode.VANILLA)
+            for mode in (HOTMEM, VANILLA)
         }
         counts = {mode: len(run.records) for mode, run in runs.items()}
         assert len(set(counts.values())) == 1
 
     def test_hotmem_unplugs_without_migrations(self):
-        run = run_scenario(small_scenario(DeploymentMode.HOTMEM))
+        run = run_scenario(small_scenario(HOTMEM))
         unplugs = [e for e in run.resize_events if e.kind == "unplug"]
         assert unplugs
         assert all(e.migrated_pages == 0 for e in unplugs)

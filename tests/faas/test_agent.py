@@ -5,8 +5,9 @@ import pytest
 from repro.core import HotMemBootParams
 from repro.errors import ConfigError
 from repro.faas.agent import Agent, FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.cluster.provision import VmSpec
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 from repro.sim.engine import Timeout
 from repro.units import GIB, MIB, SEC
 from repro.workloads.functions import get_function
@@ -35,12 +36,12 @@ def make_agent(sim, vm, mode, max_instances=4, vcpu_indices=None,
 
 @pytest.fixture
 def vanilla_agent(sim, vanilla_vm):
-    return make_agent(sim, vanilla_vm, DeploymentMode.VANILLA)
+    return make_agent(sim, vanilla_vm, VANILLA)
 
 
 @pytest.fixture
 def hotmem_agent(sim, hotmem_vm):
-    return make_agent(sim, hotmem_vm, DeploymentMode.HOTMEM)
+    return make_agent(sim, hotmem_vm, HOTMEM)
 
 
 def run_request(sim, agent, arrival=0):
@@ -50,11 +51,11 @@ def run_request(sim, agent, arrival=0):
 class TestModeValidation:
     def test_hotmem_mode_requires_hotmem_vm(self, sim, vanilla_vm):
         with pytest.raises(ConfigError):
-            make_agent(sim, vanilla_vm, DeploymentMode.HOTMEM)
+            make_agent(sim, vanilla_vm, HOTMEM)
 
     def test_vanilla_mode_rejects_hotmem_vm(self, sim, hotmem_vm):
         with pytest.raises(ConfigError):
-            make_agent(sim, hotmem_vm, DeploymentMode.VANILLA)
+            make_agent(sim, hotmem_vm, VANILLA)
 
     def test_duplicate_function_rejected(self, sim, vanilla_vm):
         spec = get_function("html")
@@ -67,7 +68,7 @@ class TestModeValidation:
                     FunctionDeployment(spec, 1),
                 ],
                 KeepAlivePolicy(),
-                DeploymentMode.VANILLA,
+                VANILLA,
             )
 
     def test_unknown_function_rejected(self, sim, vanilla_agent):
@@ -96,11 +97,11 @@ class TestScaleUp:
         vm = fleet.provision(
             VmSpec(
                 "op",
-                mode=DeploymentMode.OVERPROVISIONED,
+                mode=OVERPROVISIONED,
                 region_bytes=2 * GIB,
             )
         ).vm
-        agent = make_agent(sim, vm, DeploymentMode.OVERPROVISIONED)
+        agent = make_agent(sim, vm, OVERPROVISIONED)
         record = run_request(sim, agent)
         assert record.ok
         assert vm.tracer.plug_events() == []
@@ -164,7 +165,7 @@ class TestQueueing:
 class TestPinning:
     def test_round_robin_over_allowed_vcpus(self, sim, vanilla_vm):
         agent = make_agent(
-            sim, vanilla_vm, DeploymentMode.VANILLA, vcpu_indices=(2, 5)
+            sim, vanilla_vm, VANILLA, vcpu_indices=(2, 5)
         )
 
         def burst():
@@ -267,7 +268,7 @@ class TestScaleDown:
 class TestReusePolicy:
     def test_fifo_rotates_instances(self, sim, vanilla_vm):
         agent = make_agent(
-            sim, vanilla_vm, DeploymentMode.VANILLA, max_instances=2, reuse="fifo"
+            sim, vanilla_vm, VANILLA, max_instances=2, reuse="fifo"
         )
 
         def scenario():
@@ -284,7 +285,7 @@ class TestReusePolicy:
 
     def test_lifo_reuses_hottest(self, sim, vanilla_vm):
         agent = make_agent(
-            sim, vanilla_vm, DeploymentMode.VANILLA, max_instances=2, reuse="lifo"
+            sim, vanilla_vm, VANILLA, max_instances=2, reuse="lifo"
         )
 
         def scenario():

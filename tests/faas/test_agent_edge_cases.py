@@ -4,8 +4,9 @@ import pytest
 
 from repro.core import HotMemBootParams
 from repro.faas.agent import Agent, FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.cluster.provision import VmSpec
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 from repro.sim.engine import Timeout
 from repro.units import GIB, MIB, SEC
 from repro.workloads.functions import get_function
@@ -30,7 +31,7 @@ def make_agent(sim, vm, mode, **kw):
 class TestSpareSlots:
     def test_spare_slot_survives_shrink(self, sim, hotmem_vm):
         agent = make_agent(
-            sim, hotmem_vm, DeploymentMode.HOTMEM, spare_slots=1
+            sim, hotmem_vm, HOTMEM, spare_slots=1
         )
         sim.run_process(agent.handle("html", 0))
 
@@ -46,7 +47,7 @@ class TestSpareSlots:
 
     def test_next_cold_start_skips_the_plug(self, sim, hotmem_vm):
         agent = make_agent(
-            sim, hotmem_vm, DeploymentMode.HOTMEM, spare_slots=1
+            sim, hotmem_vm, HOTMEM, spare_slots=1
         )
         sim.run_process(agent.handle("html", 0))
         plugs_before = len(hotmem_vm.tracer.plug_events())
@@ -66,14 +67,14 @@ class TestRecyclerEdgeCases:
     def test_double_recycler_start_rejected(self, sim, vanilla_vm):
         from repro.errors import FaasError
 
-        agent = make_agent(sim, vanilla_vm, DeploymentMode.VANILLA)
+        agent = make_agent(sim, vanilla_vm, VANILLA)
         agent.start_recycler(until_ns=SEC)
         with pytest.raises(FaasError):
             agent.start_recycler()
         sim.run(until=2 * SEC)
 
     def test_stop_halts_the_loop(self, sim, vanilla_vm):
-        agent = make_agent(sim, vanilla_vm, DeploymentMode.VANILLA)
+        agent = make_agent(sim, vanilla_vm, VANILLA)
         agent.start_recycler()
         sim.run(until=7 * SEC)
         agent.stop()
@@ -81,7 +82,7 @@ class TestRecyclerEdgeCases:
         assert sim.pending_events() == 0
 
     def test_recycle_pass_without_containers_is_noop(self, sim, vanilla_vm):
-        agent = make_agent(sim, vanilla_vm, DeploymentMode.VANILLA)
+        agent = make_agent(sim, vanilla_vm, VANILLA)
 
         def pass_():
             return (yield from agent.recycle_pass())
@@ -93,11 +94,11 @@ class TestRecyclerEdgeCases:
         vm = fleet.provision(
             VmSpec(
                 "op",
-                mode=DeploymentMode.OVERPROVISIONED,
+                mode=OVERPROVISIONED,
                 region_bytes=2 * GIB,
             )
         ).vm
-        agent = make_agent(sim, vm, DeploymentMode.OVERPROVISIONED)
+        agent = make_agent(sim, vm, OVERPROVISIONED)
         sim.run_process(agent.handle("html", 0))
 
         def cycle():
@@ -113,7 +114,7 @@ class TestRecyclerEdgeCases:
 
 class TestTargetAccounting:
     def test_target_counts_live_instances_and_shared(self, sim, hotmem_vm):
-        agent = make_agent(sim, hotmem_vm, DeploymentMode.HOTMEM)
+        agent = make_agent(sim, hotmem_vm, HOTMEM)
         shared = hotmem_vm.hotmem.params.shared_bytes
         assert agent.target_plugged_bytes() == shared
         sim.run_process(agent.handle("html", 0))
@@ -121,7 +122,7 @@ class TestTargetAccounting:
 
     def test_device_converges_to_target_after_churn(self, sim, hotmem_vm):
         agent = make_agent(
-            sim, hotmem_vm, DeploymentMode.HOTMEM, max_instances=6,
+            sim, hotmem_vm, HOTMEM, max_instances=6,
             keep_alive_s=3, recycle_s=2,
         )
 

@@ -22,7 +22,8 @@ from repro.faas.lifecycle import (
     registered_policies,
     resolve_policies,
 )
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
+from repro.modes import VANILLA
 from repro.sim.engine import Timeout
 from repro.units import MIB, SEC
 from repro.workloads.functions import get_function
@@ -275,7 +276,7 @@ def two_function_agent(sim, vm, eviction="ttl", keep_alive_s=10):
             recycle_interval_ns=5 * SEC,
             eviction=eviction,
         ),
-        DeploymentMode.VANILLA,
+        VANILLA,
     )
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 from repro.units import SEC
 
 
@@ -23,12 +24,12 @@ def test_zero_recycle_interval_rejected():
 
 
 def test_elastic_modes():
-    assert DeploymentMode.HOTMEM.elastic
-    assert DeploymentMode.VANILLA.elastic
-    assert not DeploymentMode.OVERPROVISIONED.elastic
+    assert HOTMEM.elastic
+    assert VANILLA.elastic
+    assert not OVERPROVISIONED.elastic
 
 
 def test_mode_values_stable():
-    assert DeploymentMode.HOTMEM.value == "hotmem"
-    assert DeploymentMode.VANILLA.value == "vanilla"
-    assert DeploymentMode.OVERPROVISIONED.value == "overprovisioned"
+    assert HOTMEM.name == "hotmem"
+    assert VANILLA.name == "vanilla"
+    assert OVERPROVISIONED.name == "overprovisioned"

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import HotMemBootParams
 from repro.faas.agent import Agent, FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.faults import (
     AGENT_RECYCLE_RACE,
     AGENT_SPAWN_FAIL,
@@ -23,6 +23,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.cluster.provision import VmSpec
+from repro.modes import HOTMEM, VANILLA
 from repro.sim.engine import Timeout
 from repro.units import GIB, MIB, SEC
 from repro.workloads.functions import get_function
@@ -37,7 +38,7 @@ def make_vm(sim, fleet, specs, hotmem=False, retry=None, seed=0):
         )
         spec = VmSpec(
             "fault-vm",
-            mode=DeploymentMode.HOTMEM,
+            mode=HOTMEM,
             partition_bytes=params.partition_bytes,
             concurrency=params.concurrency,
             shared_bytes=params.shared_bytes,
@@ -86,7 +87,7 @@ def recycle_after(sim, agent, idle_s):
 class TestSpawnFaults:
     def test_spawn_failure_fails_the_invocation_then_heals(self, sim, fleet):
         vm = make_vm(sim, fleet, [FaultSpec(AGENT_SPAWN_FAIL, 1.0, max_fires=1)])
-        agent = make_agent(sim, vm, DeploymentMode.VANILLA)
+        agent = make_agent(sim, vm, VANILLA)
         record = sim.run_process(agent.handle("html", 0))
         assert not record.ok and record.error == "spawn-failed"
         assert agent.live_instances() == 0
@@ -98,7 +99,7 @@ class TestSpawnFaults:
 
     def test_spawn_oom_counts_as_oom(self, sim, fleet):
         vm = make_vm(sim, fleet, [FaultSpec(AGENT_SPAWN_OOM, 1.0, max_fires=1)])
-        agent = make_agent(sim, vm, DeploymentMode.VANILLA)
+        agent = make_agent(sim, vm, VANILLA)
         record = sim.run_process(agent.handle("html", 0))
         assert not record.ok and record.error == "oom"
         assert vm.recovery_log.by_path() == {"oom-failfast": 1}
@@ -111,7 +112,7 @@ class TestPlugRetry:
         agent = make_agent(
             sim,
             vm,
-            DeploymentMode.VANILLA,
+            VANILLA,
             resilience=ResiliencePolicy(plug_retries=2),
         )
         record = sim.run_process(agent.handle("html", 0))
@@ -126,7 +127,7 @@ class TestPlugRetry:
         agent = make_agent(
             sim,
             vm,
-            DeploymentMode.HOTMEM,
+            HOTMEM,
             resilience=ResiliencePolicy(plug_retries=1, degrade_after=2),
         )
         record = sim.run_process(agent.handle("html", 0))
@@ -150,7 +151,7 @@ class TestPlugRetry:
             [FaultSpec(DEVICE_PLUG_NACK, 1.0, max_fires=0)],
             hotmem=True,
         )
-        agent = make_agent(sim, vm, DeploymentMode.HOTMEM, spare_slots=1)
+        agent = make_agent(sim, vm, HOTMEM, spare_slots=1)
         record = sim.run_process(agent.handle("html", 0))
         assert record.ok
         recycle_after(sim, agent, idle_s=11)
@@ -173,7 +174,7 @@ class TestRecyclerFaults:
 
     def test_unplug_failure_mid_recycle_keeps_state_consistent(self, sim, fleet):
         vm = self.failing_unplug_vm(sim, fleet)
-        agent = make_agent(sim, vm, DeploymentMode.HOTMEM)
+        agent = make_agent(sim, vm, HOTMEM)
         record = sim.run_process(agent.handle("html", 0))
         assert record.ok
         plugged_before = vm.device.plugged_bytes
@@ -204,7 +205,7 @@ class TestRecyclerFaults:
         agent = make_agent(
             sim,
             vm,
-            DeploymentMode.HOTMEM,
+            HOTMEM,
             resilience=ResiliencePolicy(deferred_attempts=3),
         )
         shared = vm.hotmem.params.shared_bytes
@@ -226,7 +227,7 @@ class TestRecyclerFaults:
         agent = make_agent(
             sim,
             vm,
-            DeploymentMode.HOTMEM,
+            HOTMEM,
             resilience=ResiliencePolicy(deferred_attempts=2),
         )
         sim.run_process(agent.handle("html", 0))
@@ -246,7 +247,7 @@ class TestRecyclerFaults:
             hotmem=True,
         )
         agent = make_agent(
-            sim, vm, DeploymentMode.HOTMEM, keep_alive_s=5, recycle_s=3,
+            sim, vm, HOTMEM, keep_alive_s=5, recycle_s=3,
             max_instances=2,
         )
         sim.run_process(agent.handle("html", 0))

@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import FaasError
 from repro.faas.agent import Agent, FunctionDeployment
-from repro.faas.policy import DeploymentMode, KeepAlivePolicy
+from repro.faas.policy import KeepAlivePolicy
 from repro.faas.runtime import FaasRuntime
+from repro.modes import VANILLA
 from repro.units import SEC
 from repro.workloads.functions import get_function
 from repro.workloads.traces import InvocationTrace
@@ -23,7 +24,7 @@ def agent(sim, vanilla_vm):
         vanilla_vm,
         [FunctionDeployment(get_function("html"), max_instances=4)],
         KeepAlivePolicy(keep_alive_ns=60 * SEC),
-        DeploymentMode.VANILLA,
+        VANILLA,
     )
 
 

@@ -7,7 +7,7 @@ from repro.experiments.serverless import (
     ServerlessScenario,
     run_scenario,
 )
-from repro.faas.policy import DeploymentMode
+from repro.modes import HOTMEM, VANILLA
 from repro.units import MEMORY_BLOCK_SIZE, MIB
 
 
@@ -15,7 +15,7 @@ from repro.units import MEMORY_BLOCK_SIZE, MIB
 def hotmem_run():
     return run_scenario(
         ServerlessScenario(
-            mode=DeploymentMode.HOTMEM,
+            mode=HOTMEM,
             loads=(FunctionLoad.for_function("cnn", max_instances=8),),
             duration_s=60,
             keep_alive_s=15,
@@ -29,7 +29,7 @@ def hotmem_run():
 def vanilla_run():
     return run_scenario(
         ServerlessScenario(
-            mode=DeploymentMode.VANILLA,
+            mode=VANILLA,
             loads=(FunctionLoad.for_function("cnn", max_instances=8),),
             duration_s=60,
             keep_alive_s=15,

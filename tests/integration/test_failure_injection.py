@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster.provision import VmSpec
 from repro.errors import OutOfMemory
-from repro.faas.policy import DeploymentMode
+from repro.modes import HOTMEM
 from repro.sim import Simulator, Timeout
 from repro.units import GIB, MIB, SEC
 from repro.workloads import Memhog
@@ -20,7 +20,7 @@ def build(sim, fleet, mode="hotmem", slots=8, slot_bytes=384 * MIB, shared=0):
     if mode == "hotmem":
         spec = VmSpec(
             mode,
-            mode=DeploymentMode.HOTMEM,
+            mode=HOTMEM,
             partition_bytes=slot_bytes,
             concurrency=slots,
             shared_bytes=shared,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import stranding
-from repro.faas.policy import DeploymentMode
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.provision import Fleet, VmSpec
 from repro.errors import NoFreePartition, OutOfMemory
-from repro.faas.policy import DeploymentMode
+from repro.modes import HOTMEM
 from repro.sim import Simulator
 from repro.units import MIB
 
@@ -37,7 +37,7 @@ def drive(mode: str, ops) -> None:
     if mode == "hotmem":
         spec = VmSpec(
             mode,
-            mode=DeploymentMode.HOTMEM,
+            mode=HOTMEM,
             partition_bytes=SLOT,
             concurrency=SLOTS,
         )

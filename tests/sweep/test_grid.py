@@ -1,10 +1,12 @@
 """Grid model: axis crossing, cell identity, canonical digests."""
 
 import enum
+import pickle
 from dataclasses import dataclass
 
 import pytest
 
+from repro.modes import registered_modes
 from repro.sweep import Cell, CellResult, SweepGrid, canonical, payload_digest
 
 
@@ -110,6 +112,13 @@ class TestCanonical:
 
     def test_enums_collapse_to_value(self):
         assert canonical(_Color.RED) == "red"
+
+    @pytest.mark.parametrize("mode", registered_modes(), ids=str)
+    def test_modes_collapse_to_their_name(self, mode):
+        # Sweep workers return unpickled copies, not the registry singletons.
+        copy = pickle.loads(pickle.dumps(mode))
+        assert copy is not mode
+        assert canonical(mode) == canonical(copy) == mode.name
 
     def test_sets_sort_deterministically(self):
         assert canonical({"b", "a"}) == ["a", "b"]

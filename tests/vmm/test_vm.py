@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.provision import Fleet, VmSpec
 from repro.errors import ConfigError
-from repro.faas.policy import DeploymentMode
+from repro.modes import HOTMEM, OVERPROVISIONED, VANILLA
 from repro.sim import Simulator
 from repro.units import GIB, MIB
 
@@ -59,7 +59,7 @@ class TestHotMemWiring:
             _provision(
                 fleet,
                 name="vm",
-                mode=DeploymentMode.HOTMEM,
+                mode=HOTMEM,
                 region_bytes=GIB,
                 partition_bytes=hotmem_params.partition_bytes,
                 concurrency=hotmem_params.concurrency,
@@ -99,7 +99,7 @@ class TestOverprovisioned:
         vm = fleet.provision(
             VmSpec(
                 "vm",
-                mode=DeploymentMode.OVERPROVISIONED,
+                mode=OVERPROVISIONED,
                 region_bytes=2 * GIB,
             )
         ).vm
@@ -111,7 +111,7 @@ class TestOverprovisioned:
         vm = _provision(
             fleet,
             name="vm",
-            mode=DeploymentMode.OVERPROVISIONED,
+            mode=OVERPROVISIONED,
             region_bytes=GIB,
         )
         vm.plug_all_at_boot()
@@ -132,9 +132,9 @@ class TestEndToEndResize:
                 VmSpec(
                     mode,
                     mode=(
-                        DeploymentMode.HOTMEM
+                        HOTMEM
                         if mode == "hotmem"
-                        else DeploymentMode.VANILLA
+                        else VANILLA
                     ),
                     region_bytes=8 * 384 * MIB,
                     partition_bytes=384 * MIB if mode == "hotmem" else 0,
