@@ -50,7 +50,7 @@ of one declarative table, :data:`OWNERSHIP`, checked by one visitor:
     in-place mutator calls) or tears containers down directly
     (``.teardown()``/``.destroy_after_oom()``).  Ad-hoc eviction
     bypasses the pluggable :class:`~repro.faas.lifecycle.EvictionPolicy`
-    ranking, the eviction records trace-report attributes cold starts
+    ranking, the eviction records the trace report attributes cold starts
     to, and the unplug coupling — go through
     ``Agent.recycle_pass``/``request_reclaim``.
 

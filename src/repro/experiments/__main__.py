@@ -11,7 +11,8 @@ Regenerate any table or figure of the paper from the shell::
 ``--paper-scale`` switches to the full-size configuration where one is
 defined (the defaults are scaled down to run in seconds).
 
-``--modes`` restricts mode-sweeping experiments (density, chaos) to a
+``--modes`` restricts mode-sweeping experiments (those whose config has
+a ``modes`` field: chaos, cluster-chaos, density, keepalive) to a
 comma-separated list of registered deployment modes, e.g.
 ``--modes hotmem,vanilla,balloon,dimm,fpr``.
 
@@ -30,11 +31,10 @@ any mm invariant breaks, instead of quietly producing wrong figures.
 simulator the experiments build gets causal spans across the whole
 hotplug datapath plus a labeled metrics registry, exported after the run
 as deterministic JSONL (``--trace-file``, default ``trace.jsonl``).
-Analyze the export with::
+Analyze the export with one report (:mod:`repro.obs.report`)::
 
     python -m repro.experiments fig5 --trace
-    python -m repro.experiments trace-report
-    python -m repro.experiments obs-report
+    python -m repro.experiments report
 
 The dispatch table itself is declarative: every experiment module ends
 with a :func:`repro.sweep.register_experiment` call, and this entry
@@ -94,7 +94,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        help="experiment name, 'list', or 'all'",
+        help="experiment name, 'list', 'all', or 'report'",
     )
     parser.add_argument(
         "--paper-scale",
@@ -144,8 +144,8 @@ def main(argv: Optional[list] = None) -> int:
         type=str,
         default="trace.jsonl",
         metavar="PATH",
-        help="where --trace writes its export, and what trace-report "
-        "reads (default trace.jsonl)",
+        help="where --trace writes its export, and what report reads "
+        "(default trace.jsonl)",
     )
     args = parser.parse_args(argv)
 
@@ -168,11 +168,10 @@ def main(argv: Optional[list] = None) -> int:
     if args.experiment == "list":
         for name, (description, _) in EXPERIMENTS.items():
             print(f"{name:12} {description}")
-        print("trace-report per-mode unplug phase attribution from a --trace export")
-        print("obs-report   fleet streaming-telemetry dashboard from a --trace export")
+        print(f"{'report':12} unplug attribution and fleet telemetry from a --trace export")
         return 0
 
-    if args.experiment == "trace-report":
+    if args.experiment == "report":
         from repro.obs import load_report
 
         try:
@@ -185,22 +184,7 @@ def main(argv: Optional[list] = None) -> int:
             )
             return 2
         print(report.render())
-        return 0
-
-    if args.experiment == "obs-report":
-        from repro.obs import load_obs_report
-
-        try:
-            obs_report = load_obs_report(args.trace_file)
-        except FileNotFoundError:
-            print(
-                f"no trace export at {args.trace_file!r}; run an "
-                f"experiment with --trace first",
-                file=sys.stderr,
-            )
-            return 2
-        print(obs_report.render())
-        print(obs_report.summary_line(args.trace_file))
+        print(report.summary_line(args.trace_file))
         return 0
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

@@ -283,5 +283,4 @@ register_experiment(
     "R1 fault-rate sweep: recovery paths and degradation",
     config=ChaosConfig,
     run=run,
-    mode_sweeping=True,
 )

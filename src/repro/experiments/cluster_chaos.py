@@ -452,5 +452,4 @@ register_experiment(
     "under host/VM crash injection",
     config=ClusterChaosConfig,
     run=run,
-    mode_sweeping=True,
 )

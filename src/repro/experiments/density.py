@@ -463,5 +463,4 @@ register_experiment(
     "D1 VMs-per-host at the P99 SLO across deployment modes",
     config=DensityConfig,
     run=run,
-    mode_sweeping=True,
 )

@@ -166,5 +166,4 @@ register_experiment(
     "Figure 2 quantified: interleaving after an instance exits",
     config=Fig2Config,
     run=run,
-    paper_scale_config=False,
 )

@@ -541,5 +541,4 @@ register_experiment(
     "K1 cold-start-rate vs VMs-per-host frontier across eviction policies",
     config=KeepAliveConfig,
     run=run,
-    mode_sweeping=True,
 )

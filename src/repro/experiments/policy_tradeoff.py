@@ -214,5 +214,4 @@ register_experiment(
     "P1 spare-slot policy: cold-start latency vs memory held",
     config=PolicyConfig,
     run=run,
-    paper_scale_config=False,
 )

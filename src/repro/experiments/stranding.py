@@ -182,5 +182,4 @@ register_experiment(
     "M1 host memory stranding (Figure 1 motivation)",
     config=StrandingConfig,
     run=run,
-    paper_scale_config=False,
 )

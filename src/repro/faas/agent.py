@@ -175,7 +175,7 @@ class Agent:
             self.functions[spec.name] = _FunctionState(deployment, deps)
         self.shrink_events: List[ShrinkEvent] = []
         #: Per-victim eviction log: which policy chose each container,
-        #: and at what rank — trace-report joins this against cold
+        #: and at what rank — the trace report joins this against cold
         #: starts to attribute them to eviction decisions.
         self.eviction_records: List[EvictionRecord] = []
         #: True once the agent gave up on the backend and stopped

@@ -1,5 +1,5 @@
 """Invocation and eviction records produced by the runtime (inputs to
-every latency metric in the evaluation, and to trace-report's
+every latency metric in the evaluation, and to the trace report's
 cold-start attribution)."""
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class EvictionRecord:
 
     ``policy`` and ``rank`` say *which* lifecycle policy picked the
     victim and where in its eviction order the victim sat (0 = most
-    evictable), so trace-report can tie later cold starts of
+    evictable), so the trace report can tie later cold starts of
     ``function`` back to the eviction decision that caused them.
     ``pressure`` marks fleet-watermark sheds (as opposed to routine
     keep-alive expiry).

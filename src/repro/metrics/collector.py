@@ -138,7 +138,7 @@ class FleetCollector:
     bit-for-bit) — resident memory is O(hosts × nodes × buckets),
     independent of the simulated horizon.  All series register with the
     simulator's obs context, so ``--trace`` exports them as ``rollup``
-    rows for ``obs-report``.
+    rows for ``python -m repro.experiments report``.
     """
 
     def __init__(

@@ -5,15 +5,16 @@ parent links (:mod:`repro.obs.span`), a unified labeled metrics
 registry (:mod:`repro.obs.metrics`), the per-fleet context and the
 label-stamping scopes threaded through faas/virtio/mm/modes/cluster/
 faults (:mod:`repro.obs.context`), the global ``--trace`` session
-(:mod:`repro.obs.session`), deterministic JSONL export
-(:mod:`repro.obs.export`) and the unplug phase-attribution report
-(:mod:`repro.obs.report`).
+(:mod:`repro.obs.session`) and deterministic JSONL export
+(:mod:`repro.obs.export`).
 
 The streaming layer rides on top: bounded-memory rollup series
 (:mod:`repro.obs.rollup`), mergeable quantile sketches
-(:mod:`repro.obs.sketch`), windowed SLO burn-rate monitors
-(:mod:`repro.obs.slo`) and the ``obs-report`` fleet dashboard
-(:mod:`repro.obs.dashboard`).
+(:mod:`repro.obs.sketch`) and windowed SLO burn-rate monitors
+(:mod:`repro.obs.slo`).  One ``report`` (:mod:`repro.obs.report`) reads
+an export back: unplug phase attribution, host memory timelines,
+sketch percentiles, SLO breach windows and eviction → cold-start
+attribution, under one digest.
 
 Everything is opt-in: with no session installed the datapath threads
 the inert ``NO_OBS``/``NO_SCOPE``/``NULL_SPAN`` singletons and runs
@@ -23,11 +24,6 @@ every latency — is unchanged.
 """
 
 from repro.obs.context import NO_OBS, NO_SCOPE, ObsContext, ObsScope
-from repro.obs.dashboard import (
-    ObsReport,
-    build_obs_report,
-    load_obs_report,
-)
 from repro.obs.export import (
     TraceExportSummary,
     context_rows,
@@ -95,7 +91,4 @@ __all__ = [
     "TraceReport",
     "build_report",
     "load_report",
-    "ObsReport",
-    "build_obs_report",
-    "load_obs_report",
 ]

@@ -1,25 +1,43 @@
-"""Phase attribution report over an exported trace.
+"""One report over an exported trace.
 
-``python -m repro.experiments trace-report`` reads the JSONL written by
-``--trace`` and answers the question the fragmented telemetry could
-not: *where did the unplug latency go?*  Every ``device.unplug`` span
-is tiled by its ``phase.*`` children (offline, migrate, zero, device
-round-trip — ``mechanism`` for the balloon/DIMM baselines), so phase
-sums match the recorded unplug latency to the nanosecond; the report
-verifies that identity for every event and renders a per-mode P50/P99
-breakdown plus the phase split of the exact P99 event.
+``python -m repro.experiments report`` reads the JSONL written by
+``--trace`` in one pass and renders, in order:
+
+- **unplug latency attribution by phase.**  Every ``device.unplug``
+  span is tiled by its ``phase.*`` children (offline, migrate, zero,
+  device round-trip — ``mechanism`` for the balloon/DIMM baselines), so
+  phase sums match the recorded unplug latency to the nanosecond; the
+  report verifies that identity for every event and renders a per-mode
+  P50/P99 breakdown plus the phase split of the exact P99 event;
+- **host memory timelines** from the per-host ``rollup`` rows, with
+  ASCII sparklines;
+- **sketch percentiles** from the ``sketch`` rows, merged across
+  contexts by name and mode with :meth:`QuantileSketch.merge`;
+- **SLO breach windows** from the ``slo.breach`` spans;
+- **eviction → cold-start attribution** per lifecycle policy;
+- the modes that carry labeled metrics, and one footer of counts.
 
 Percentiles use nearest-rank (``metrics.latency.percentile``): a reported
 P99 is an actual event from the run, which is what makes the "P99
-phases" row well-defined.
+phases" row well-defined.  Rendering is deterministic — rows sort on
+their keys and every number formats through fixed-width format specs —
+so the report's SHA-256 digest is byte-stable across reruns and sweep
+worker counts; CI gates on exactly that.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+from repro.obs.rollup import RollupSeries
+from repro.obs.sketch import QuantileSketch
+from repro.units import GIB, SEC
 
 __all__ = [
+    "BreachWindow",
     "EvictionAttribution",
     "ModeBreakdown",
     "TraceReport",
@@ -30,6 +48,13 @@ __all__ = [
 
 #: Canonical phase order; unknown phases render after these.
 PHASE_ORDER = ("offline", "migrate", "zero", "device", "mechanism")
+#: Sparkline glyphs, low to high (ASCII so CI logs stay clean).
+SPARK_LEVELS = ".:-=+*#%@"
+#: Sparkline width cap (buckets re-chunk into at most this many cells).
+SPARK_WIDTH = 40
+
+#: ``(time_ns, context, policy, function, pressure)`` of one eviction.
+_Evict = Tuple[int, int, str, str, bool]
 
 
 @dataclass
@@ -66,8 +91,8 @@ class EvictionAttribution:
     each victim; a later ``faas.spawn`` of the same function is a cold
     start that eviction re-imposed.  ``recolds`` counts evictions whose
     function cold-started again afterwards (matched earliest-first),
-    and ``median_recold_ns`` is the median eviction→respawn gap — the
-    warmth the policy actually gave up.
+    and ``median_recold_ns`` is the nearest-rank P50 eviction→respawn
+    gap — the warmth the policy actually gave up.
     """
 
     policy: str
@@ -103,8 +128,23 @@ class ModeBreakdown:
 
 
 @dataclass
+class BreachWindow:
+    """One ``slo.breach`` span from the trace."""
+
+    context: int
+    slo: str
+    kind: str
+    start_ns: int
+    end_ns: int
+    bad: int
+    total: int
+    pressure: int
+    burn_x1000: int
+
+
+@dataclass
 class TraceReport:
-    """Everything ``trace-report`` renders."""
+    """Everything ``report`` renders."""
 
     modes: List[ModeBreakdown]
     metric_modes: List[str]
@@ -112,7 +152,15 @@ class TraceReport:
     open_spans: int
     #: Per-policy eviction → cold-start attribution (empty when the
     #: trace holds no ``agent.evict`` events).
-    eviction_policies: List[EvictionAttribution] = field(default_factory=list)
+    eviction_policies: List[EvictionAttribution]
+    #: ``(context, series)`` per non-empty host-level rollup row.
+    rollups: List[Tuple[int, RollupSeries]]
+    #: Every rollup row in the trace (host-level + per-node).
+    rollup_rows: int
+    #: ``(merged sketch, contexts merged)`` per non-empty (name, mode).
+    sketches: List[Tuple[QuantileSketch, int]]
+    breaches: List[BreachWindow]
+    contexts: int
 
     @property
     def total_unplugs(self) -> int:
@@ -123,16 +171,48 @@ class TraceReport:
         return sum(m.exact_matches for m in self.modes)
 
     def render(self) -> str:
-        lines = ["trace-report: unplug latency attribution by phase"]
-        if not self.modes:
-            lines.append("  (no device.unplug spans in this trace)")
+        lines = ["report: unplug attribution and fleet telemetry"]
+        lines.extend(self._render_unplugs())
+        lines.extend(self._render_rollups())
+        lines.extend(self._render_sketches())
+        lines.extend(self._render_breaches())
+        lines.extend(self._render_evictions())
+        if self.metric_modes:
+            lines.append(
+                "  modes with labeled metrics: "
+                + ", ".join(self.metric_modes)
+            )
+        lines.append(
+            f"  spans={self.total_spans} open={self.open_spans} "
+            f"contexts={self.contexts} rollups={self.rollup_rows} "
+            f"sketches={len(self.sketches)} breaches={len(self.breaches)}"
+        )
+        return "\n".join(lines)
+
+    @property
+    def digest(self) -> str:
+        """SHA-256 of the rendered report (the CI rerun gate)."""
+        return hashlib.sha256(self.render().encode()).hexdigest()
+
+    def summary_line(self, path: str) -> str:
+        return (
+            f"[report: sha256={self.digest} spans={self.total_spans} "
+            f"open={self.open_spans} rollups={self.rollup_rows} "
+            f"sketches={len(self.sketches)} breaches={len(self.breaches)} "
+            f"file={path}]"
+        )
+
+    # -- sections ------------------------------------------------------
+    def _render_unplugs(self) -> List[str]:
+        lines = ["  unplug latency attribution by phase:"]
         phases = _phase_columns(self.modes)
-        if self.modes:
-            header = (
-                f"  {'mode':<16} {'unplugs':>7} {'p50_ms':>9} {'p99_ms':>9}"
+        if not self.modes:
+            lines.append("    (no device.unplug spans in this trace)")
+        else:
+            lines.append(
+                f"    {'mode':<16} {'unplugs':>7} {'p50_ms':>9} {'p99_ms':>9}"
                 + "".join(f" {p + '%':>9}" for p in phases)
             )
-            lines.append(header)
         for mode in self.modes:
             total = sum(mode.phase_ns.get(p, 0) for p in phases)
             shares = [
@@ -140,7 +220,7 @@ class TraceReport:
                 for p in phases
             ]
             lines.append(
-                f"  {mode.mode:<16} {mode.count:>7} "
+                f"    {mode.mode:<16} {mode.count:>7} "
                 f"{mode.p50_ns / 1e6:>9.3f} {mode.p99_ns / 1e6:>9.3f}"
                 + "".join(f" {s:>8.1f}%" for s in shares)
             )
@@ -152,38 +232,102 @@ class TraceReport:
                     if event.phase_ns.get(p, 0)
                 )
                 lines.append(
-                    f"    p99 event phases (ns): {parts or 'none'} "
+                    f"      p99 event phases (ns): {parts or 'none'} "
                     f"total={event.phase_sum_ns} span={event.duration_ns}"
                 )
         exact = self.exact_matches
         total = self.total_unplugs
         verdict = "nanosecond-exact" if exact == total else "MISMATCH"
         lines.append(
-            f"  phase sums match unplug latencies: {exact}/{total}"
+            f"    phase sums match unplug latencies: {exact}/{total}"
             f" ({verdict})"
         )
-        if self.eviction_policies:
-            lines.append("  eviction -> cold-start attribution by policy:")
-            lines.append(
-                f"    {'policy':<12} {'evicted':>7} {'pressure':>8} "
-                f"{'recold':>6} {'recold%':>7} {'p50_gap_ms':>10}"
-            )
-            for policy in self.eviction_policies:
-                lines.append(
-                    f"    {policy.policy:<12} {policy.evictions:>7} "
-                    f"{policy.pressure_evictions:>8} {policy.recolds:>6} "
-                    f"{policy.recold_frac:>6.1%} "
-                    f"{policy.median_recold_ns / 1e6:>10.3f}"
-                )
-        if self.metric_modes:
-            lines.append(
-                "  modes with labeled metrics: "
-                + ", ".join(self.metric_modes)
-            )
+        return lines
+
+    def _render_rollups(self) -> List[str]:
+        lines = ["  host memory timelines (per-host rollups):"]
+        if not self.rollups:
+            lines.append("    (no rollup rows in this trace)")
+            return lines
         lines.append(
-            f"  spans={self.total_spans} open={self.open_spans}"
+            f"    {'series':<14} {'ctx':>3} {'mode':<16} {'samples':>7} "
+            f"{'bkts':>4} {'min_gib':>8} {'mean_gib':>9} {'max_gib':>8} "
+            f"{'last_gib':>9}  timeline"
         )
-        return "\n".join(lines)
+        for context, series in self.rollups:
+            mode = str(series.labels.get("mode", "-"))
+            lines.append(
+                f"    {series.name:<14} {context:>3} {mode:<16} "
+                f"{series.count:>7} {series.bucket_count():>4} "
+                f"{series.min_value() / GIB:>8.3f} "
+                f"{series.mean() / GIB:>9.3f} "
+                f"{series.max_value() / GIB:>8.3f} "
+                f"{series.last()[1] / GIB:>9.3f}  |{_spark(series)}|"
+            )
+        hidden = self.rollup_rows - len(self.rollups)
+        if hidden > 0:
+            lines.append(
+                f"    (+{hidden} per-node rollup series"
+                f" summarised into the host rows above)"
+            )
+        return lines
+
+    def _render_sketches(self) -> List[str]:
+        lines = ["  sketch percentiles (merged across contexts):"]
+        if not self.sketches:
+            lines.append("    (no sketch rows in this trace)")
+            return lines
+        lines.append(
+            f"    {'sketch':<28} {'mode':<16} {'ctxs':>4} {'count':>7} "
+            f"{'p50_ms':>8} {'p90_ms':>8} {'p99_ms':>8} {'p99.9_ms':>9} "
+            f"{'max_ms':>8}"
+        )
+        for sketch, contexts in self.sketches:
+            mode = str(sketch.labels.get("mode", "all"))
+            p50, p90, p99, p999 = (
+                sketch.quantile(q) / 1e6 for q in (50, 90, 99, 99.9)
+            )
+            lines.append(
+                f"    {sketch.name:<28} {mode:<16} {contexts:>4} "
+                f"{sketch.count:>7} {p50:>8.3f} {p90:>8.3f} "
+                f"{p99:>8.3f} {p999:>9.3f} {sketch.vmax / 1e6:>8.3f}"
+            )
+        return lines
+
+    def _render_breaches(self) -> List[str]:
+        lines = ["  slo breach windows:"]
+        if not self.breaches:
+            lines.append("    (none)")
+            return lines
+        lines.append(
+            f"    {'ctx':>3} {'slo':<14} {'kind':<10} {'window_s':>17} "
+            f"{'bad/total':>10} {'burn':>6} {'pressure':>8}"
+        )
+        for b in self.breaches:
+            window = f"{b.start_ns / SEC:.1f}-{b.end_ns / SEC:.1f}"
+            lines.append(
+                f"    {b.context:>3} {b.slo:<14} {b.kind:<10} {window:>17} "
+                f"{f'{b.bad}/{b.total}':>10} {b.burn_x1000 / 1000:>6.2f} "
+                f"{b.pressure:>8}"
+            )
+        return lines
+
+    def _render_evictions(self) -> List[str]:
+        if not self.eviction_policies:
+            return []
+        lines = ["  eviction -> cold-start attribution by policy:"]
+        lines.append(
+            f"    {'policy':<12} {'evicted':>7} {'pressure':>8} "
+            f"{'recold':>6} {'recold%':>7} {'p50_gap_ms':>10}"
+        )
+        for policy in self.eviction_policies:
+            lines.append(
+                f"    {policy.policy:<12} {policy.evictions:>7} "
+                f"{policy.pressure_evictions:>8} {policy.recolds:>6} "
+                f"{policy.recold_frac:>6.1%} "
+                f"{policy.median_recold_ns / 1e6:>10.3f}"
+            )
+        return lines
 
 
 def _phase_columns(modes: List[ModeBreakdown]) -> List[str]:
@@ -193,52 +337,160 @@ def _phase_columns(modes: List[ModeBreakdown]) -> List[str]:
     return ordered
 
 
-def build_report(records: List[Dict[str, object]]) -> TraceReport:
-    """Attribute every exported ``device.unplug`` span to its phases."""
-    # Imported here: repro.metrics pulls in the faas layer, which must
-    # stay importable before repro.obs finishes loading.
-    from repro.metrics.latency import percentile
+def _spark(series: RollupSeries) -> str:
+    """A fixed-width ASCII sparkline of the per-bucket means."""
+    timeline = series.timeline()
+    if not timeline:
+        return ""
+    means = [mean for _, _, _, mean, _ in timeline]
+    if len(means) > SPARK_WIDTH:
+        chunked: List[float] = []
+        for cell in range(SPARK_WIDTH):
+            lo = cell * len(means) // SPARK_WIDTH
+            hi = max(lo + 1, (cell + 1) * len(means) // SPARK_WIDTH)
+            chunk = means[lo:hi]
+            chunked.append(sum(chunk) / len(chunk))
+        means = chunked
+    lo = min(means)
+    hi = max(means)
+    if hi <= lo:
+        return SPARK_LEVELS[0] * len(means)
+    scale = len(SPARK_LEVELS) - 1
+    return "".join(
+        SPARK_LEVELS[int((value - lo) / (hi - lo) * scale)]
+        for value in means
+    )
 
+
+def _labels_key(labels: Dict[str, object]) -> str:
+    return json.dumps(labels, sort_keys=True, separators=(",", ":"))
+
+
+def build_report(records: List[Dict[str, object]]) -> TraceReport:
+    """Build every section of the report in one pass over the records."""
     spans: Dict[Tuple[int, int], Dict[str, object]] = {}
-    metric_modes = set()
+    open_spans = 0
+    contexts: Set[int] = set()
+    metric_modes: Set[str] = set()
+    unplugs: Dict[Tuple[int, int], UnplugAttribution] = {}
+    phases: List[Tuple[int, int]] = []
+    evicts: List[_Evict] = []
+    spawns: Dict[Tuple[int, str], List[int]] = {}
+    breaches: List[BreachWindow] = []
+    rollup_rows: List[Dict[str, object]] = []
+    merged: Dict[Tuple[str, str], Tuple[QuantileSketch, Set[int]]] = {}
     for record in records:
-        if record.get("type") == "span":
-            spans[(int(record["context"]), int(record["id"]))] = record
-        elif record.get("type") == "metric":
+        kind = record.get("type")
+        context = int(record.get("context", 0))
+        if "context" in record:
+            contexts.add(context)
+        if kind == "span":
+            key = (context, int(record["id"]))
+            spans[key] = record
+            if record["end_ns"] is None:
+                open_spans += 1
+            name = str(record["name"])
+            attrs = record.get("attrs") or {}
+            if name == "device.unplug":
+                unplugs[key] = UnplugAttribution(
+                    context=context,
+                    span_id=key[1],
+                    mode=str(attrs.get("mode", "?")),
+                    vm=str(attrs.get("vm", "?")),
+                    start_ns=int(record["start_ns"]),
+                    end_ns=int(record["end_ns"]),
+                )
+            elif name.startswith("phase."):
+                phases.append(key)
+            elif name == "agent.evict":
+                evicts.append(
+                    (
+                        int(record["start_ns"]),
+                        context,
+                        str(attrs.get("policy", "?")),
+                        str(attrs.get("function", "?")),
+                        bool(attrs.get("pressure", False)),
+                    )
+                )
+            elif name == "faas.spawn":
+                spawns.setdefault(
+                    (context, str(attrs.get("function", "?"))), []
+                ).append(int(record["start_ns"]))
+            elif name == "slo.breach":
+                breaches.append(_breach_window(context, record, attrs))
+        elif kind == "metric":
             labels = record.get("labels") or {}
             if isinstance(labels, dict) and "mode" in labels:
                 metric_modes.add(str(labels["mode"]))
+        elif kind == "rollup":
+            rollup_rows.append(record)
+        elif kind == "sketch":
+            sketch = QuantileSketch.from_row(record)
+            group = (sketch.name, str(sketch.labels.get("mode", "all")))
+            if group in merged:
+                merged[group][0].merge(sketch)
+            else:
+                merged[group] = (sketch, set())
+            merged[group][1].add(context)
 
-    unplugs: Dict[Tuple[int, int], UnplugAttribution] = {}
-    for key, record in spans.items():
-        if record["name"] != "device.unplug":
-            continue
-        attrs = record.get("attrs") or {}
-        unplugs[key] = UnplugAttribution(
-            context=key[0],
-            span_id=key[1],
-            mode=str(attrs.get("mode", "?")),
-            vm=str(attrs.get("vm", "?")),
-            start_ns=int(record["start_ns"]),
-            end_ns=int(record["end_ns"]),
-        )
-
-    for key, record in spans.items():
-        name = str(record["name"])
-        if not name.startswith("phase."):
-            continue
+    for key in phases:
         owner = _enclosing_unplug(spans, key)
         if owner is None:
             continue
-        phase = name[len("phase."):]
+        record = spans[key]
+        phase = str(record["name"])[len("phase."):]
         duration = int(record["end_ns"]) - int(record["start_ns"])
         attribution = unplugs[owner]
         attribution.phase_ns[phase] = (
             attribution.phase_ns.get(phase, 0) + duration
         )
 
+    breaches.sort(key=lambda b: (b.context, b.slo, b.start_ns, b.end_ns))
+    return TraceReport(
+        modes=_mode_breakdowns(unplugs.values()),
+        metric_modes=sorted(metric_modes),
+        total_spans=len(spans),
+        open_spans=open_spans,
+        eviction_policies=_attribute_evictions(evicts, spawns),
+        rollups=_host_rollups(rollup_rows),
+        rollup_rows=len(rollup_rows),
+        sketches=[
+            (merged[group][0], len(merged[group][1]))
+            for group in sorted(merged)
+            if merged[group][0].count
+        ],
+        breaches=breaches,
+        contexts=len(contexts),
+    )
+
+
+def _breach_window(
+    context: int, record: Dict[str, object], attrs: Dict[str, object]
+) -> BreachWindow:
+    start_ns = int(record["start_ns"])
+    return BreachWindow(
+        context=context,
+        slo=str(attrs.get("slo", "?")),
+        kind=str(attrs.get("kind", "?")),
+        start_ns=start_ns,
+        end_ns=int(record["end_ns"] or start_ns),
+        bad=int(attrs.get("bad", 0)),
+        total=int(attrs.get("total", 0)),
+        pressure=int(attrs.get("pressure", 0)),
+        burn_x1000=int(attrs.get("burn_x1000", 0)),
+    )
+
+
+def _mode_breakdowns(
+    unplugs: Iterable[UnplugAttribution],
+) -> List[ModeBreakdown]:
+    """Group attributed unplugs by mode with nearest-rank P50/P99."""
+    # Imported here: repro.metrics pulls in the faas layer, which must
+    # stay importable before repro.obs finishes loading.
+    from repro.metrics.latency import percentile
+
     by_mode: Dict[str, List[UnplugAttribution]] = {}
-    for attribution in unplugs.values():
+    for attribution in unplugs:
         by_mode.setdefault(attribution.mode, []).append(attribution)
 
     modes: List[ModeBreakdown] = []
@@ -267,21 +519,33 @@ def build_report(records: List[Dict[str, object]]) -> TraceReport:
                 phase_ns=phase_totals,
             )
         )
+    return modes
 
-    open_spans = sum(
-        1 for r in records if r.get("type") == "span" and r["end_ns"] is None
-    )
-    return TraceReport(
-        modes=modes,
-        metric_modes=sorted(metric_modes),
-        total_spans=len(spans),
-        open_spans=open_spans,
-        eviction_policies=_attribute_evictions(spans),
-    )
+
+def _host_rollups(
+    rows: List[Dict[str, object]],
+) -> List[Tuple[int, RollupSeries]]:
+    """The non-empty host-level rollups, by (name, labels, context)."""
+    out: List[Tuple[int, RollupSeries]] = []
+    for row in sorted(
+        rows,
+        key=lambda r: (
+            str(r.get("name", "")),
+            _labels_key(r.get("labels") or {}),  # type: ignore[arg-type]
+            int(r.get("context", 0)),
+        ),
+    ):
+        if "node" in (row.get("labels") or {}):
+            continue  # host-level rows carry the per-node sums already
+        series = RollupSeries.from_row(row)
+        if series.buckets:
+            out.append((int(row.get("context", 0)), series))
+    return out
 
 
 def _attribute_evictions(
-    spans: Dict[Tuple[int, int], Dict[str, object]],
+    evicts: List[_Evict],
+    spawns: Dict[Tuple[int, str], List[int]],
 ) -> List[EvictionAttribution]:
     """Join ``agent.evict`` events against later same-function spawns.
 
@@ -290,24 +554,8 @@ def _attribute_evictions(
     the same trace context, matched earliest-first, each spawn consumed
     once) is the cold start that eviction re-imposed.
     """
-    evicts: List[Tuple[int, int, str, str, bool]] = []
-    spawns: Dict[Tuple[int, str], List[int]] = {}
-    for (context, _), record in spans.items():
-        name = record["name"]
-        attrs = record.get("attrs") or {}
-        if name == "agent.evict":
-            evicts.append(
-                (
-                    int(record["start_ns"]),
-                    context,
-                    str(attrs.get("policy", "?")),
-                    str(attrs.get("function", "?")),
-                    bool(attrs.get("pressure", False)),
-                )
-            )
-        elif name == "faas.spawn":
-            key = (context, str(attrs.get("function", "?")))
-            spawns.setdefault(key, []).append(int(record["start_ns"]))
+    from repro.metrics.latency import percentile
+
     for times in spawns.values():
         times.sort()
     evicts.sort()
@@ -328,15 +576,14 @@ def _attribute_evictions(
 
     out: List[EvictionAttribution] = []
     for policy in sorted(totals):
-        matched = sorted(gaps.get(policy, []))
-        median = matched[len(matched) // 2] if matched else 0
+        matched = gaps.get(policy, [])
         out.append(
             EvictionAttribution(
                 policy=policy,
                 evictions=totals[policy],
                 pressure_evictions=pressures.get(policy, 0),
                 recolds=len(matched),
-                median_recold_ns=median,
+                median_recold_ns=percentile(matched, 50) if matched else 0,
             )
         )
     return out

@@ -5,7 +5,10 @@ naming itself, its one-line description, and either its ``(Config,
 run)`` pair — from which the standard CLI runner (``--paper-scale`` /
 ``--modes`` handling, ``.render()``) is derived — or a custom ``render``
 callable for the few non-standard entries (table1, ablations,
-baselines).  ``python -m repro.experiments`` then builds its dispatch
+baselines).  The config class states the rest: an experiment sweeps
+deployment modes when its config has a ``modes`` field, and
+``--paper-scale`` uses ``Config.paper_scale()`` when the class defines
+one.  ``python -m repro.experiments`` then builds its dispatch
 table by importing the modules in canonical order and reading
 :func:`registry`; the cross-cutting flags (``--modes``, ``--sanitize``,
 ``--trace``, ``--workers``) are applied uniformly by the CLI through
@@ -32,7 +35,7 @@ class ExperimentSpec:
     name: str
     description: str
     runner: RunnerFn
-    #: Accepts ``--modes`` (its config sweeps deployment modes).
+    #: Accepts ``--modes`` (its config has a ``modes`` field).
     mode_sweeping: bool = False
 
 
@@ -40,24 +43,15 @@ _REGISTRY: Dict[str, ExperimentSpec] = {}
 
 
 def _config_runner(
-    name: str,
-    config_cls: type,
-    run_fn: Callable[..., object],
-    paper_scale_config: bool,
+    config_cls: type, run_fn: Callable[..., object]
 ) -> RunnerFn:
     def runner(paper_scale: bool, modes: Optional[Tuple[str, ...]]) -> str:
         config = (
             config_cls.paper_scale()  # type: ignore[attr-defined]
-            if paper_scale and paper_scale_config
+            if paper_scale and hasattr(config_cls, "paper_scale")
             else config_cls()
         )
         if modes is not None:
-            field_names = {f.name for f in dataclasses.fields(config_cls)}
-            if "modes" not in field_names:
-                raise SystemExit(
-                    f"{name} does not sweep deployment modes "
-                    f"(--modes not applicable)"
-                )
             config = dataclasses.replace(config, modes=modes)
         result = run_fn(config)
         return result.render() if hasattr(result, "render") else str(result)
@@ -72,8 +66,6 @@ def register_experiment(
     config: Optional[type] = None,
     run: Optional[Callable[..., object]] = None,
     render: Optional[RunnerFn] = None,
-    mode_sweeping: bool = False,
-    paper_scale_config: bool = True,
 ) -> None:
     """Register one experiment (idempotent per name: latest wins, so
     module re-imports under test harnesses stay harmless).
@@ -81,10 +73,14 @@ def register_experiment(
     Standard experiments pass ``config=`` and ``run=``; bespoke ones
     pass ``render=`` taking ``(paper_scale, modes)`` directly.
     """
+    mode_sweeping = False
     if render is not None:
         runner = render
     elif config is not None and run is not None:
-        runner = _config_runner(name, config, run, paper_scale_config)
+        runner = _config_runner(config, run)
+        mode_sweeping = any(
+            f.name == "modes" for f in dataclasses.fields(config)
+        )
     else:
         raise ValueError(
             f"experiment {name!r} needs either render= or config=+run="

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import EXPERIMENTS, MODE_SWEEPING, main
 
 
 def test_list_prints_every_experiment(capsys):
@@ -49,3 +49,17 @@ def test_every_experiment_has_a_description(name):
     description, runner = EXPERIMENTS[name]
     assert description
     assert callable(runner)
+
+
+def test_modes_rejected_for_an_experiment_without_a_mode_sweep(capsys):
+    assert main(["fig5", "--modes", "hotmem"]) == 2
+    assert "--modes only applies to" in capsys.readouterr().err
+
+
+def test_mode_sweeping_is_derived_from_the_config_modes_field():
+    assert MODE_SWEEPING == {"chaos", "cluster-chaos", "density", "keepalive"}
+
+
+def test_paper_scale_without_a_paper_config_runs_the_default(capsys):
+    assert main(["fig2", "--paper-scale"]) == 0
+    assert "[fig2:" in capsys.readouterr().out

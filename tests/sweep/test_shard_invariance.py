@@ -64,14 +64,14 @@ def test_chaos_is_worker_count_invariant(tmp_path):
 
 
 def test_streaming_telemetry_is_worker_count_invariant(tmp_path):
-    """Rollups, sketches and the obs-report digest survive sharding.
+    """Rollups, sketches and the report digest survive sharding.
 
-    Trace byte-identity already implies this, but the dashboard is the
-    artifact CI gates on — so compare what ``obs-report`` actually
-    renders, and prove the trace carries telemetry rows at all.
+    Trace byte-identity already implies this, but the report is the
+    artifact CI gates on — so compare what ``report`` actually renders,
+    and prove the trace carries telemetry rows at all.
     """
-    from repro.obs.dashboard import load_obs_report
     from repro.obs.export import read_trace
+    from repro.obs.report import load_report
 
     reports = {}
     for workers in (1, 2):
@@ -80,7 +80,7 @@ def test_streaming_telemetry_is_worker_count_invariant(tmp_path):
         rows = read_trace(str(path))
         assert any(row["type"] == "rollup" for row in rows)
         assert any(row["type"] == "sketch" for row in rows)
-        reports[workers] = load_obs_report(str(path))
+        reports[workers] = load_report(str(path))
     assert reports[2].digest == reports[1].digest
     assert reports[1].sketches, "density trace must carry latency sketches"
 
